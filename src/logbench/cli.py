@@ -20,12 +20,10 @@ from pathlib import Path
 
 from . import __version__
 from .complexity import DEFAULT_ENTROPY_NS, entropy_report, lz_complexity
-from .detectors import DetectorBuilder, STUDY_DETECTORS, make_detector
-from .errors import LogbenchError, ValidationError
+from .detectors import DetectorBuilder, STUDY_DETECTORS
+from .errors import DetectorNotApplicable, LogbenchError, ValidationError
 from .evaluation import (
     EvalConfig,
-    split,
-    threshold_sweep,
     evaluate_study,
     write_bests_csv,
     write_results_csv,
@@ -71,12 +69,19 @@ DATA_DIR_ENV = "LOGBENCH_DATA_DIR"
 
 @contextmanager
 def atomic_write(path: Path):
-    """Write to a sibling temp file and rename on success; no partial artifacts."""
+    """Write to a sibling temp file and rename on success; no partial artifacts.
+
+    The artifact gets the mode a plain `open()` would give it under the
+    current umask, not the 0600 of the temp file.
+    """
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=f".{path.name}.", suffix=".tmp")
     handle = os.fdopen(fd, "w", encoding="utf-8", newline="")
     try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)
         yield handle
         handle.close()
         os.replace(tmp, path)
@@ -227,13 +232,10 @@ def cmd_group(args: argparse.Namespace) -> int:
     if args.mode in ("id", "file"):
         greport = GroupingReport()
         seqs = group_by_identifier(events, report=greport)
-        if args.mode == "file":
-            for seq in seqs:
-                seq.origin = "file"
         manifest.record("events_total", greport.events_total)
         manifest.record("discarded_no_id", greport.discarded_no_id)
     else:
-        if not args.window:
+        if args.window is None:
             raise ValidationError("--window is required for window mode")
         seqs = group_by_window(dedupe_replicated(events), args.window, args.step)
 
@@ -365,6 +367,13 @@ def _load_for_eval(args: argparse.Namespace):
     return source, seqs
 
 
+def _study(args: argparse.Namespace, seqs, config: EvalConfig, **options):
+    """Run the study over the comma-separated `--detectors` rows."""
+    detector_specs = [d.strip() for d in args.detectors.split(",") if d.strip()]
+    factory = DetectorBuilder(args.ecvc_norm, args.ngram_norm, args.ngram_pad)
+    return evaluate_study(seqs, config, detector_specs, detector_factory=factory, **options)
+
+
 def cmd_eval(args: argparse.Namespace) -> int:
     source, seqs = _load_for_eval(args)
     manifest = Manifest(args, [source])
@@ -374,16 +383,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
         rng_seed=args.seed,
         granularity=args.granularity,
     )
-    detector_specs = [d.strip() for d in args.detectors.split(",") if d.strip()]
-    factory = DetectorBuilder(args.ecvc_norm, args.ngram_norm, args.ngram_pad)
-    report = evaluate_study(
-        seqs,
-        config,
-        detector_specs,
-        detector_factory=factory,
-        jobs=args.jobs,
-        dump_run0_scores=args.dump_scores,
-    )
+    report = _study(args, seqs, config, jobs=args.jobs, dump_run0_scores=args.dump_scores)
     out_dir = Path(args.out_dir)
     with atomic_write(out_dir / "results.csv") as handle:
         write_results_csv(report, handle)
@@ -410,25 +410,19 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
+    """The per-threshold curves of the study's run 0: `eval --runs 1` without the summaries."""
     source, seqs = _load_for_eval(args)
-    if args.granularity == "event":
-        raise ValidationError("threshold sweeps apply to sequence granularity only")
     manifest = Manifest(args, [source])
-    config = EvalConfig(
-        train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed
-    )
-    train, test = split(seqs, config, 0)
+    config = EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
+    report = _study(args, seqs, config, jobs=1)
+    refused = [o.detector for o in report.outcomes if o.not_applicable]
+    if refused:
+        raise DetectorNotApplicable(f"detector not applicable to this data set: {', '.join(refused)}")
     out_dir = Path(args.out_dir)
-    all_results = []
-    for spec in [d.strip() for d in args.detectors.split(",") if d.strip()]:
-        detector = make_detector(
-            spec, ecvc_norm=args.ecvc_norm, ngram_norm=args.ngram_norm, ngram_pad=args.ngram_pad
-        )
-        all_results.extend(threshold_sweep(train, test, detector, config.threshold_grid))
     with atomic_write(out_dir / "sweep.csv") as handle:
-        write_sweep_csv(all_results, handle)
+        write_sweep_csv(report.results(), handle)
     manifest.time_stage("sweep")
-    manifest.record("train_size", len(train))
+    manifest.record("train_size", report.train_sizes[0])
     manifest.write(out_dir / "manifest.json")
     print(f"sweep curves -> {out_dir / 'sweep.csv'}")
     return 0
@@ -463,6 +457,22 @@ def build_parser() -> argparse.ArgumentParser:
         help="logging verbosity (default: WARNING)",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+
+    # options shared by `eval` and `sweep`
+    study = argparse.ArgumentParser(add_help=False)
+    study.add_argument(
+        "--input", required=True, help="sequence store (or parsed events for eval --granularity event)"
+    )
+    study.add_argument("--train-frac", type=float, default=0.01, help="normal-class training fraction")
+    study.add_argument("--seed", type=int, default=1, help="base RNG seed (sweep uses run 0's split)")
+    study.add_argument("--ecvc-norm", default="mass", choices=["mass", "len"], help="ECVC denominator")
+    study.add_argument(
+        "--ngram-norm",
+        default="global-max",
+        choices=["global-max", "per-sequence"],
+        help="n-gram mismatch normalization",
+    )
+    study.add_argument("--ngram-pad", default="start", choices=["start", "end"], help="n-gram pad side")
 
     p = sub.add_parser("parse", help="match raw log lines against a template catalog")
     p.add_argument("--profile", required=True, help="bundled profile name or profile file path")
@@ -509,47 +519,25 @@ def build_parser() -> argparse.ArgumentParser:
     c.add_argument("--out", required=True, help="output CSV (measure,N,value rows)")
     c.set_defaults(func=cmd_complexity)
 
-    e = sub.add_parser("eval", help="repeated semi-supervised evaluation study")
-    e.add_argument("--input", required=True, help="sequence store (or parsed events for --granularity event)")
+    e = sub.add_parser("eval", parents=[study], help="repeated semi-supervised evaluation study")
     e.add_argument(
         "--detectors",
         default=",".join(STUDY_DETECTORS),
         help="comma-separated detector names; + joins OR-combinations "
         "(event, length, ecvc, ecvc-idf, ngram2, ngram3, ngram10, edit, timing)",
     )
-    e.add_argument("--train-frac", type=float, default=0.01, help="normal-class training fraction")
     e.add_argument("--runs", type=int, default=25, help="independent sampling repetitions")
-    e.add_argument("--seed", type=int, default=1, help="base RNG seed")
     e.add_argument(
         "--granularity", default="sequence", choices=["sequence", "event"], help="evaluation unit"
     )
     e.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel run workers")
-    e.add_argument("--ecvc-norm", default="mass", choices=["mass", "len"], help="ECVC denominator")
-    e.add_argument(
-        "--ngram-norm",
-        default="global-max",
-        choices=["global-max", "per-sequence"],
-        help="n-gram mismatch normalization",
-    )
-    e.add_argument("--ngram-pad", default="start", choices=["start", "end"], help="n-gram pad side")
     e.add_argument("--out-dir", required=True, help="directory for results.csv and summary.csv")
     e.add_argument("--dump-scores", action="store_true", help="dump run 0 scores per detector")
     e.set_defaults(func=cmd_eval)
 
-    w = sub.add_parser("sweep", help="full threshold sweep curves from a single run")
-    w.add_argument("--input", required=True, help="sequence store file")
+    w = sub.add_parser("sweep", parents=[study], help="full threshold sweep curves from a single run")
     w.add_argument("--detectors", default="ecvc,ngram2,edit", help="comma-separated detector names")
-    w.add_argument("--train-frac", type=float, default=0.01, help="normal-class training fraction")
-    w.add_argument("--seed", type=int, default=1, help="RNG seed for the single split")
     w.add_argument("--granularity", default="sequence", choices=["sequence"], help=argparse.SUPPRESS)
-    w.add_argument("--ecvc-norm", default="mass", choices=["mass", "len"], help="ECVC denominator")
-    w.add_argument(
-        "--ngram-norm",
-        default="global-max",
-        choices=["global-max", "per-sequence"],
-        help="n-gram mismatch normalization",
-    )
-    w.add_argument("--ngram-pad", default="start", choices=["start", "end"], help="n-gram pad side")
     w.add_argument("--out-dir", required=True, help="directory for sweep.csv")
     w.set_defaults(func=cmd_sweep)
 

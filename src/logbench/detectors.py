@@ -1,10 +1,16 @@
-"""The seven baseline detection techniques plus OR-combination.
+"""The seven baseline detection techniques.
 
 Every detector trains on normal sequences only and scores test sequences
 in [0, 1]; a sequence is flagged iff score > threshold (strict). The
 new-event and length detectors are threshold-free and emit 0/1 scores.
 Trained models are immutable; scoring is a pure function of
 (model, sequence) except for the timing detector's diagnostics tally.
+
+Study rows such as `event+length+ecvc` are OR-combinations of these base
+detectors. They are not detectors of their own: the evaluation fits and
+scores each base detector once per run, and a combination's score is the
+element-wise maximum of its members' score columns, so `max > threshold`
+is exactly the OR of the member flags.
 """
 
 from __future__ import annotations
@@ -42,11 +48,6 @@ STUDY_DETECTORS = (
     "event+length+edit",
     "timing",
 )
-
-
-def combine_or(flags: Iterable[bool]) -> bool:
-    """A sequence is anomalous when any combined technique reports it."""
-    return any(flags)
 
 
 def levenshtein(a: PySequence, b: PySequence, *, cutoff: int | None = None) -> int:
@@ -447,34 +448,6 @@ class EventTimingDetector(Detector):
         return min(worst, 1.0)
 
 
-class CombinedDetector(Detector):
-    """OR-combination: flagged when any member flags.
-
-    Scores combine as the element-wise maximum, so `max > threshold` is
-    exactly the OR of member flags; threshold-free members contribute 0/1
-    scores and the sweep stays one-dimensional over the thresholded member.
-    """
-
-    def __init__(self, members: list[Detector]):
-        if not members:
-            raise ValidationError("combination requires at least one detector")
-        self.members = members
-        self.name = "+".join(m.name for m in members)
-        self.thresholded = any(m.thresholded for m in members)
-
-    def fit(self, train):
-        for m in self.members:
-            m.fit(train)
-        return self
-
-    def score(self, seq):
-        return max(m.score(seq) for m in self.members)
-
-    def score_batch(self, seqs):
-        columns = [m.score_batch(seqs) for m in self.members]
-        return [max(vals) for vals in zip(*columns)] if seqs else []
-
-
 _NGRAM_NAME = re.compile(r"^(?:ngram(\d+)|(\d+)-gram)$")
 
 
@@ -505,28 +478,21 @@ def make_detector(
     ngram_norm: str = "global-max",
     ngram_pad: str = "start",
 ) -> Detector:
-    """Build a detector from its name, e.g. `ecvc-idf` or `event+length+ecvc`."""
-    parts = [p.strip().lower() for p in spec.split("+")]
-    members: list[Detector] = []
-    for part in parts:
-        if part == "event":
-            members.append(NewEventTypeDetector())
-        elif part == "length":
-            members.append(SequenceLengthDetector())
-        elif part == "ecvc":
-            members.append(CountVectorDetector(idf=False, norm=ecvc_norm))
-        elif part in ("ecvc-idf", "ecvc(idf)"):
-            members.append(CountVectorDetector(idf=True, norm=ecvc_norm))
-        elif part == "edit":
-            members.append(EditDistanceDetector())
-        elif part in ("timing", "event-timing"):
-            members.append(EventTimingDetector())
-        else:
-            m = _NGRAM_NAME.match(part)
-            if not m:
-                raise ValidationError(f"unknown detector: {part!r}")
-            n = int(m.group(1) or m.group(2))
-            members.append(NGramDetector(n, normalization=ngram_norm, pad_side=ngram_pad))
-    if len(members) == 1:
-        return members[0]
-    return CombinedDetector(members)
+    """Build one base detector from its name, e.g. `ecvc-idf` or `2-gram`."""
+    name = spec.strip().lower()
+    if name == "event":
+        return NewEventTypeDetector()
+    if name == "length":
+        return SequenceLengthDetector()
+    if name == "ecvc":
+        return CountVectorDetector(idf=False, norm=ecvc_norm)
+    if name in ("ecvc-idf", "ecvc(idf)"):
+        return CountVectorDetector(idf=True, norm=ecvc_norm)
+    if name == "edit":
+        return EditDistanceDetector()
+    if name in ("timing", "event-timing"):
+        return EventTimingDetector()
+    m = _NGRAM_NAME.match(name)
+    if not m:
+        raise ValidationError(f"unknown detector: {name!r}")
+    return NGramDetector(int(m.group(1) or m.group(2)), normalization=ngram_norm, pad_side=ngram_pad)

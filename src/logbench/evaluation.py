@@ -1,10 +1,14 @@
 """Semi-supervised evaluation protocol: repeated sampling, threshold sweeps, metrics.
 
 Training data is sampled from the normal class only; the test set is the
-remaining normals plus all anomalies. Each detector is trained once per
-run, every test sequence is scored once, and confusion counts at every
-grid threshold are derived from the cached scores. Metrics with a zero
-denominator are reported as undefined (None / "NA"), never coerced to 0.
+remaining normals plus all anomalies. Each distinct base detector is
+fitted once per run and scores the test set once, giving one score column
+per base. Every requested row reads those columns: an OR-combination such
+as `event+length+ecvc` is the element-wise maximum of its members' columns,
+and is not applicable when any member is. Confusion counts at every grid
+threshold, the score dump and the sweep curves all derive from a row's
+column. Metrics with a zero denominator are reported as undefined
+(None / "NA"), never coerced to 0.
 """
 
 from __future__ import annotations
@@ -127,6 +131,10 @@ class DetectorSummary:
     not_applicable: bool = False
 
 
+#: Run 0's scores per row: (seq_id, score, flagged at the best threshold, label).
+ScoreDump = dict[str, list[tuple[str, float, bool, str]]]
+
+
 @dataclass
 class StudyReport:
     granularity: str
@@ -134,7 +142,7 @@ class StudyReport:
     summaries: list[DetectorSummary]
     warnings: list[str]
     train_sizes: list[int]
-    score_dump: dict[str, list[tuple[str, float, bool, str]]] = field(default_factory=dict)
+    score_dump: ScoreDump = field(default_factory=dict)
 
     def results(self) -> Iterable[EvalResult]:
         for outcome in self.outcomes:
@@ -180,15 +188,6 @@ def _counts_at(
     return ConfusionCounts(tp, fp, len(norm_sorted) - fp, len(anom_sorted) - tp)
 
 
-def _score_test_set(
-    detector: Detector, test: list[Sequence]
-) -> tuple[list[float], list[float], list[float]]:
-    scores = detector.score_batch(test)
-    anom = sorted(s for s, seq in zip(scores, test) if seq.label.anomalous)
-    norm = sorted(s for s, seq in zip(scores, test) if not seq.label.anomalous)
-    return scores, anom, norm
-
-
 def _best_result(results: list[EvalResult]) -> EvalResult | None:
     """F1-maximizing grid point; ties resolve to the smallest threshold."""
     best = None
@@ -201,43 +200,51 @@ def _best_result(results: list[EvalResult]) -> EvalResult | None:
 
 
 def evaluate_run(
-    train: list[Sequence],
+    detector: str,
+    thresholded: bool,
     test: list[Sequence],
-    detector: Detector,
+    scores: list[float],
     threshold_grid: PySequence[float] = THRESHOLD_GRID,
     *,
     run: int = 0,
+    train_size: int = 0,
 ) -> RunOutcome:
-    """Train once, score once, and derive metrics at every grid threshold."""
-    outcome = RunOutcome(run=run, detector=detector.name, train_size=len(train))
-    detector.fit(train)
-    _, anom, norm = _score_test_set(detector, test)
-    if detector.thresholded:
+    """Derive metrics at every grid threshold from one row's score column.
+
+    `scores[i]` is the score of `test[i]`. A threshold-free row gets one
+    result at the 0/1 flag cutoff instead of the grid.
+    """
+    outcome = RunOutcome(run=run, detector=detector, train_size=train_size)
+    anom = sorted(s for s, seq in zip(scores, test) if seq.label.anomalous)
+    norm = sorted(s for s, seq in zip(scores, test) if not seq.label.anomalous)
+    if thresholded:
         for t in threshold_grid:
             counts = _counts_at(anom, norm, t)
             outcome.results.append(
-                EvalResult(run, detector.name, t, counts, metrics_from_counts(counts))
+                EvalResult(run, detector, t, counts, metrics_from_counts(counts))
             )
         outcome.best = _best_result(outcome.results)
     else:
         counts = _counts_at(anom, norm, FLAG_CUTOFF)
-        result = EvalResult(run, detector.name, None, counts, metrics_from_counts(counts))
+        result = EvalResult(run, detector, None, counts, metrics_from_counts(counts))
         outcome.results.append(result)
         outcome.best = result if result.metrics.f1 is not None else None
     return outcome
 
 
-def threshold_sweep(
-    train: list[Sequence],
-    test: list[Sequence],
-    detector: Detector,
-    threshold_grid: PySequence[float] = THRESHOLD_GRID,
-) -> list[EvalResult]:
-    """Full metric curves over the threshold grid from one run's cached scores."""
-    return evaluate_run(train, test, detector, threshold_grid).results
-
-
 DetectorFactory = Callable[[str], Detector]
+
+
+def _score_column(
+    detector: Detector, train: list[Sequence], test: list[Sequence]
+) -> list[float] | None:
+    """Fit once and score the test set once; None when the detector is not applicable."""
+    try:
+        detector.fit(train)
+    except DetectorNotApplicable as exc:
+        LOGGER.info("detector %s not applicable: %s", detector.name, exc)
+        return None
+    return detector.score_batch(test)
 
 
 def _evaluate_one_run(
@@ -245,56 +252,49 @@ def _evaluate_one_run(
     config: EvalConfig,
     detector_specs: PySequence[str],
     factory: DetectorFactory,
+    dump_run0_scores: bool,
     run_index: int,
-    dump_scores: bool,
-) -> tuple[list[RunOutcome], dict[str, list[tuple[str, float, bool, str]]]]:
+) -> tuple[list[RunOutcome], ScoreDump]:
     train, test = split(seqs, config, run_index)
+    columns: dict[str, list[float] | None] = {}
     outcomes = []
-    dumps: dict[str, list[tuple[str, float, bool, str]]] = {}
+    dumps: ScoreDump = {}
     for spec in detector_specs:
-        detector = factory(spec)
-        try:
-            outcome = evaluate_run(train, test, detector, config.threshold_grid, run=run_index)
-        except DetectorNotApplicable as exc:
-            LOGGER.info("detector %s not applicable: %s", spec, exc)
-            outcomes.append(
-                RunOutcome(run_index, detector.name, len(train), not_applicable=True)
-            )
+        members = [factory(part) for part in spec.split("+")]
+        for member in members:
+            if member.name not in columns:
+                columns[member.name] = _score_column(member, train, test)
+        name = "+".join(member.name for member in members)
+        member_columns = [columns[member.name] for member in members]
+        if any(column is None for column in member_columns):
+            outcomes.append(RunOutcome(run_index, name, len(train), not_applicable=True))
             continue
+        scores = [max(values) for values in zip(*member_columns)]
+        thresholded = any(member.thresholded for member in members)
+        outcome = evaluate_run(
+            name, thresholded, test, scores, config.threshold_grid, run=run_index, train_size=len(train)
+        )
         outcomes.append(outcome)
-        if dump_scores:
-            cutoff = (
-                outcome.best.threshold
-                if outcome.best is not None and outcome.best.threshold is not None
-                else FLAG_CUTOFF
-            )
-            scores = detector.score_batch(test)
-            dumps[detector.name] = [
-                (
-                    seq.seq_id,
-                    score,
-                    score > cutoff,
-                    "anomalous" if seq.label.anomalous else "normal",
-                )
+        if dump_run0_scores and run_index == 0:
+            best = outcome.best
+            cutoff = best.threshold if best is not None and best.threshold is not None else FLAG_CUTOFF
+            dumps[name] = [
+                (seq.seq_id, score, score > cutoff, "anomalous" if seq.label.anomalous else "normal")
                 for seq, score in zip(test, scores)
             ]
     return outcomes, dumps
 
 
-_WORKER_CTX: dict = {}
+_WORKER_ARGS: tuple = ()
 
 
-def _init_worker(seqs, config, detector_specs, factory):
-    _WORKER_CTX.update(
-        seqs=seqs, config=config, detector_specs=detector_specs, factory=factory
-    )
+def _init_worker(*args):
+    global _WORKER_ARGS
+    _WORKER_ARGS = args
 
 
 def _worker(run_index: int):
-    ctx = _WORKER_CTX
-    return _evaluate_one_run(
-        ctx["seqs"], ctx["config"], ctx["detector_specs"], ctx["factory"], run_index, False
-    )
+    return _evaluate_one_run(*_WORKER_ARGS, run_index)
 
 
 def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSummary:
@@ -339,36 +339,25 @@ def evaluate_study(
     jobs: int = 1,
     dump_run0_scores: bool = False,
 ) -> StudyReport:
-    """Run the full repeated-sampling study for a set of detectors.
+    """Run the full repeated-sampling study for a set of detector rows.
 
-    Runs are independent (per-run seed stream) and may execute in
+    Each spec is a base detector name or a `+`-joined OR-combination of
+    them. Runs are independent (per-run seed stream) and may execute in
     parallel; results are identical regardless of the worker count.
     """
     if config.granularity == "event":
         return evaluate_events(seqs, config)
-    per_run: list[tuple[list[RunOutcome], dict]] = []
-    first_parallel_run = 0
-    if dump_run0_scores:
-        # score dumping needs the fitted detectors, so run 0 stays serial
-        per_run.append(
-            _evaluate_one_run(seqs, config, detector_specs, detector_factory, 0, True)
-        )
-        first_parallel_run = 1
-    remaining = range(first_parallel_run, config.repetitions)
-    if jobs > 1 and len(remaining) > 1:
+    args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
+    runs = range(config.repetitions)
+    if jobs > 1 and len(runs) > 1:
         with ProcessPoolExecutor(
-            max_workers=min(jobs, len(remaining)),
-            initializer=_init_worker,
-            initargs=(seqs, config, tuple(detector_specs), detector_factory),
+            max_workers=min(jobs, len(runs)), initializer=_init_worker, initargs=args
         ) as pool:
-            per_run.extend(pool.map(_worker, remaining))
+            per_run = list(pool.map(_worker, runs))
     else:
-        for r in remaining:
-            per_run.append(
-                _evaluate_one_run(seqs, config, detector_specs, detector_factory, r, False)
-            )
+        per_run = [_evaluate_one_run(*args, r) for r in runs]
     outcomes: list[RunOutcome] = []
-    score_dump: dict[str, list] = {}
+    score_dump: ScoreDump = {}
     for run_outcomes, dumps in per_run:
         outcomes.extend(run_outcomes)
         score_dump.update(dumps)
@@ -524,9 +513,7 @@ def write_sweep_csv(results: Iterable[EvalResult], handle: TextIO) -> None:
         )
 
 
-def write_scores_csv(
-    dump: dict[str, list[tuple[str, float, bool, str]]], handle: TextIO
-) -> None:
+def write_scores_csv(dump: ScoreDump, handle: TextIO) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(("seq_id", "detector", "score", "flag", "label"))
     for detector in sorted(dump):

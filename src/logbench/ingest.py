@@ -317,20 +317,6 @@ class IngestReport:
         if len(self.timestamp_errors) < MAX_ERROR_RECORDS:
             self.timestamp_errors.append((line_no, reason))
 
-    def merge(self, other: "IngestReport") -> None:
-        self.lines_total += other.lines_total
-        self.matched_lines += other.matched_lines
-        self.unmatched_lines += other.unmatched_lines
-        self.invalid_lines += other.invalid_lines
-        self.parsed_events += other.parsed_events
-        self.no_id_lines += other.no_id_lines
-        self.events_normal += other.events_normal
-        self.events_anomalous += other.events_anomalous
-        self.timestamp_error_count += other.timestamp_error_count
-        room = MAX_ERROR_RECORDS - len(self.timestamp_errors)
-        if room > 0:
-            self.timestamp_errors.extend(other.timestamp_errors[:room])
-
 
 class _ProfileMachinery:
     """Compiled per-profile extraction state, cached on demand."""
@@ -653,20 +639,28 @@ def write_events(
     return rows
 
 
+def _parse_event_row(row: list[str]) -> ParsedEvent:
+    if len(row) != len(EVENTS_HEADER):
+        raise ValidationError(f"expected {len(EVENTS_HEADER)} columns, got {len(row)}")
+    line_no, event_id, ts, sid, label = row
+    return ParsedEvent(
+        int(line_no),
+        int(event_id),
+        float(ts) if ts else None,
+        (sid,) if sid else (),
+        parse_label(label),
+    )
+
+
 def read_events(path: str | Path) -> Iterator[ParsedEvent]:
-    """Read the parsed-event store back; one ParsedEvent per row."""
+    """Read the parsed-event store back; a malformed row raises ValidationError at path:line."""
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         for row in reader:
-            if not row:
+            if not row or row[0] == EVENTS_HEADER[0]:
                 continue
-            if row[0] == EVENTS_HEADER[0]:
-                continue
-            line_no, event_id, ts, sid, label = row
-            yield ParsedEvent(
-                int(line_no),
-                int(event_id),
-                float(ts) if ts else None,
-                (sid,) if sid else (),
-                parse_label(label),
-            )
+            try:
+                event = _parse_event_row(row)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+            yield event

@@ -18,10 +18,6 @@ from .ingest import Label, NORMAL, ParsedEvent, format_label, parse_label
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
-ORIGIN_IDENTIFIER = "identifier"
-ORIGIN_WINDOW = "window"
-ORIGIN_FILE = "file"
-
 SEQUENCES_HEADER = ("seq_id", "label", "events", "timestamps")
 
 #: CountVector: per-sequence event multiset as event_id -> occurrence count.
@@ -41,15 +37,10 @@ class Sequence:
     events: list[int]
     timestamps: list[float | None] | None = None
     label: Label | None = None
-    origin: str = ORIGIN_IDENTIFIER
     event_labels: list[Label] | None = None
 
     def __len__(self) -> int:
         return len(self.events)
-
-    @property
-    def has_timestamps(self) -> bool:
-        return self.timestamps is not None and any(t is not None for t in self.timestamps)
 
 
 @dataclass
@@ -88,7 +79,7 @@ def group_by_identifier(
         for sid in ev.seq_ids:
             seq = sequences.get(sid)
             if seq is None:
-                seq = Sequence(sid, [], [], origin=ORIGIN_IDENTIFIER, event_labels=[])
+                seq = Sequence(sid, [], [], event_labels=[])
                 sequences[sid] = seq
             seq.events.append(ev.event_id)
             seq.timestamps.append(ev.timestamp)  # type: ignore[union-attr]
@@ -145,7 +136,6 @@ def group_by_window(
             f"window-{s}",
             [ev.event_id for ev in chunk],
             [ev.timestamp for ev in chunk],
-            origin=ORIGIN_WINDOW,
             event_labels=[ev.label for ev in chunk],
         )
         _finalize(seq)
@@ -257,22 +247,31 @@ def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:
     return rows
 
 
+def _parse_sequence_row(row: list[str]) -> Sequence:
+    if len(row) != len(SEQUENCES_HEADER):
+        raise ValidationError(f"expected {len(SEQUENCES_HEADER)} columns, got {len(row)}")
+    sid, label, events, ts = row
+    seq = Sequence(
+        sid,
+        [int(e) for e in events.split()] if events else [],
+        [None if t == "-" else float(t) for t in ts.split()] if ts else None,
+        parse_label(label),
+    )
+    if seq.timestamps is not None and len(seq.timestamps) != len(seq.events):
+        raise ValidationError(f"sequence {sid}: timestamp count != event count")
+    return seq
+
+
 def read_sequences(path: str | Path) -> list[Sequence]:
-    """Read the sequence store back."""
+    """Read the sequence store back; a malformed row raises ValidationError at path:line."""
     out = []
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         for row in reader:
             if not row or row[0] == SEQUENCES_HEADER[0]:
                 continue
-            sid, label, events, ts = row
-            seq = Sequence(
-                sid,
-                [int(e) for e in events.split()] if events else [],
-                [None if t == "-" else float(t) for t in ts.split()] if ts else None,
-                parse_label(label),
-            )
-            if seq.timestamps is not None and len(seq.timestamps) != len(seq.events):
-                raise ValidationError(f"sequence {sid}: timestamp count != event count")
-            out.append(seq)
+            try:
+                out.append(_parse_sequence_row(row))
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
     return out

@@ -2,12 +2,17 @@
 
 These deliberately use different mechanics than the production code
 (plain recursion, substring sets, naive enumeration) and must stay free
-of imports from the optimized paths they verify.
+of imports from the optimized paths they verify. The combination oracle
+builds single base detectors with `make_detector`; the per-run scoring
+it verifies lives in `logbench.evaluation`.
 """
 
 from __future__ import annotations
 
 import math
+
+from logbench.detectors import make_detector
+from logbench.errors import DetectorNotApplicable
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -106,3 +111,21 @@ def confusion_naive(scores, labels, threshold):
             fp += flagged
             tn += not flagged
     return tp, fp, tn, fn
+
+
+def combination_scores_naive(spec, train, test, **knobs):
+    """Fit a fresh detector per member of an OR-combination; per-sequence max.
+
+    Returns None when any member is not applicable to the training set.
+    """
+    scores = [0.0] * len(test)
+    for part in spec.split("+"):
+        detector = make_detector(part, **knobs)
+        try:
+            detector.fit(train)
+        except DetectorNotApplicable:
+            return None
+        for i, value in enumerate(detector.score_batch(test)):
+            if value > scores[i]:
+                scores[i] = value
+    return scores

@@ -202,8 +202,14 @@ def test_criterion_5_byte_identical_results(tmp_path, bundled_corpus_path):
     ]
     out_a = tmp_path / "a"
     out_b = tmp_path / "b"
+    out_c = tmp_path / "c"
     assert cli_main(args + ["--out-dir", str(out_a)]) == 0
     assert cli_main(args + ["--out-dir", str(out_b)]) == 0
-    results_identical = (out_a / "results.csv").read_bytes() == (out_b / "results.csv").read_bytes()
-    summary_identical = (out_a / "summary.csv").read_bytes() == (out_b / "summary.csv").read_bytes()
-    _report("5 determinism byte-identical results.csv", results_identical and summary_identical)
+    # two workers and a score dump must not change a byte either
+    assert cli_main(args + ["--jobs", "2", "--dump-scores", "--out-dir", str(out_c)]) == 0
+    identical = all(
+        (out_a / name).read_bytes() == (out / name).read_bytes()
+        for out in (out_b, out_c)
+        for name in ("results.csv", "summary.csv", "bests.csv")
+    )
+    _report("5 determinism byte-identical results.csv", identical)

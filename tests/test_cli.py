@@ -1,6 +1,8 @@
 from __future__ import annotations
 
 import json
+import os
+import stat
 from pathlib import Path
 
 import pytest
@@ -100,6 +102,11 @@ class TestGroupCommand:
         code = run("group", "--input", parsed_events, "--mode", "window", "--out", tmp_path / "w.tsv")
         assert code != 0
 
+    def test_window_zero_reports_the_bound(self, tmp_path, parsed_events, capsys):
+        code = run("group", "--input", parsed_events, "--mode", "window", "--window", "0", "--out", tmp_path / "w.tsv")
+        assert code == 2
+        assert "must be >= 1" in capsys.readouterr().err
+
 
 class TestStatsCommand:
     def test_reports_written(self, tmp_path, sequence_store):
@@ -116,6 +123,14 @@ class TestStatsCommand:
         ):
             assert (out_dir / name).exists(), name
         assert "number_of_sequences" in (out_dir / "summary.txt").read_text()
+
+
+    def test_non_integer_event_names_the_line(self, tmp_path, capsys):
+        store = tmp_path / "bad.tsv"
+        store.write_text("seq_id\tlabel\tevents\ttimestamps\ns1\tnormal\t1 2\t\ns2\tnormal\t1 x\t\n")
+        code = run("stats", "--input", store, "--out-dir", tmp_path / "stats")
+        assert code == 2
+        assert f"{store}:3:" in capsys.readouterr().err
 
 
 class TestComplexityCommand:
@@ -163,6 +178,32 @@ class TestEvalCommand:
             "--out-dir", tmp_path / "x",
         )
         assert code != 0
+
+    def test_three_column_store_names_the_line(self, tmp_path, capsys):
+        store = tmp_path / "bad.tsv"
+        store.write_text("seq_id\tlabel\tevents\ns1\tnormal\t1 2\n")
+        code = run("eval", "--input", store, "--jobs", "1", "--out-dir", tmp_path / "eval")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{store}:2:" in err and "columns" in err
+
+    def test_artifacts_get_umask_permissions(self, tmp_path, bundled_corpus_path):
+        old = os.umask(0o022)
+        try:
+            code = run(
+                "eval",
+                "--input", bundled_corpus_path,
+                "--detectors", "event",
+                "--train-frac", "0.1",
+                "--runs", "1",
+                "--jobs", "1",
+                "--out-dir", tmp_path / "eval",
+            )
+        finally:
+            os.umask(old)
+        assert code == 0
+        for name in ("results.csv", "manifest.json"):
+            assert stat.S_IMODE((tmp_path / "eval" / name).stat().st_mode) == 0o644, name
 
     def test_score_dump(self, tmp_path, bundled_corpus_path):
         out_dir = tmp_path / "eval"
@@ -222,6 +263,22 @@ class TestSweepCommand:
         lines = (out_dir / "sweep.csv").read_text().splitlines()
         assert lines[0] == "detector,threshold,precision,recall,tnr,f1"
         assert len(lines) == 1 + 2 * 101
+
+    def test_not_applicable_detector_refused(self, tmp_path, bundled_corpus_path, capsys):
+        store = tmp_path / "no_timestamps.tsv"
+        rows = bundled_corpus_path.read_text().splitlines()
+        store.write_text("\n".join(row.rsplit("\t", 1)[0] + "\t" for row in rows) + "\n")
+        out_dir = tmp_path / "sweep"
+        code = run(
+            "sweep",
+            "--input", store,
+            "--detectors", "ecvc,timing",
+            "--train-frac", "0.1",
+            "--out-dir", out_dir,
+        )
+        assert code == 2
+        assert "timing" in capsys.readouterr().err
+        assert not (out_dir / "sweep.csv").exists()
 
 
 class TestProfilesCommand:

@@ -7,7 +7,6 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbench.detectors import (
-    CombinedDetector,
     CountVectorDetector,
     EditDistanceDetector,
     EventTimingDetector,
@@ -15,11 +14,12 @@ from logbench.detectors import (
     NewEventTypeDetector,
     PAD_EVENT,
     SequenceLengthDetector,
-    combine_or,
     levenshtein,
     make_detector,
 )
 from logbench.errors import DetectorNotApplicable, ValidationError
+from logbench.evaluation import THRESHOLD_GRID, EvalConfig, evaluate_study, split
+from logbench.ingest import NORMAL, Label
 from logbench.sequencing import Sequence
 
 from oracles import ecvc_score_naive, levenshtein_recursive, ngram_mismatches_naive
@@ -327,34 +327,56 @@ class TestTiming:
         assert det.score(seq([1, 2], ts=[None, 1.0])) == 0.0
 
 
+def study_row(spec):
+    """Evaluate one OR-combination row for one run.
+
+    Returns its outcome, its run-0 scores by seq_id, and the run's training
+    and test sets. Any two of the three normals include a length-3 [1, 2, 3].
+    """
+    normals = [[1, 2, 3], [1, 2, 3, 3], [1, 2, 3]]
+    anomalies = [[1, 99, 3], [1, 2, 3, 3, 3], [1, 3, 2]]
+    seqs = [Sequence(f"n{i}", e, label=NORMAL) for i, e in enumerate(normals)]
+    seqs += [Sequence(f"a{i}", e, label=Label(True)) for i, e in enumerate(anomalies)]
+    config = EvalConfig(train_fraction=0.67, repetitions=1)
+    report = evaluate_study(seqs, config, [spec], dump_run0_scores=True)
+    (outcome,) = report.outcomes
+    scores = {sid: score for sid, score, _, _ in report.score_dump[outcome.detector]}
+    train, test = split(seqs, config, 0)
+    return outcome, scores, train, test
+
+
+def fitted_members(spec, train):
+    return [make_detector(part).fit(train) for part in spec.split("+")]
+
+
 class TestCombination:
-    def test_combine_or_truth_table(self):
-        assert combine_or([False, False]) is False
-        assert combine_or([False, True]) is True
-        assert combine_or([True]) is True
+    def test_flag_only_row_is_or_of_member_flags(self):
+        outcome, scores, train, test = study_row("event+length")
+        members = fitted_members("event+length", train)
+        for s in test:
+            assert (scores[s.seq_id] > 0.5) == any(m.score(s) > 0.5 for m in members)
+        assert scores["a0"] == 1.0 and scores["a1"] == 1.0  # new event; too long
+        assert scores["a2"] == 0.0
 
     def test_named_preset_parses(self):
-        det = make_detector("event+length+ecvc")
-        assert isinstance(det, CombinedDetector)
-        assert det.name == "event+length+ecvc"
-        assert det.thresholded
+        outcome, _, _, _ = study_row("event+length+ecvc")
+        assert outcome.detector == "event+length+ecvc"
+        assert [r.threshold for r in outcome.results] == list(THRESHOLD_GRID)  # thresholded
 
     def test_flag_only_combination_not_thresholded(self):
-        assert make_detector("event+length").thresholded is False
+        outcome, _, _, _ = study_row("event+length")
+        assert [r.threshold for r in outcome.results] == [None]
 
     def test_combined_score_is_member_max(self):
-        det = make_detector("event+length+ecvc")
-        det.fit([seq([1, 2, 3]), seq([1, 2, 3, 3])])
-        assert det.score(seq([1, 99, 3])) == 1.0  # new event forces a flag
-        partial = det.score(seq([1, 2, 3, 3, 3]))  # wait: length 5 > max 4 -> 1.0
-        assert partial == 1.0
-        assert det.score(seq([1, 3, 2])) < 1.0
+        _, scores, _, _ = study_row("event+length+ecvc")
+        assert scores["a0"] == 1.0  # new event forces a flag
+        assert scores["a1"] == 1.0  # length 5 > trained max 4 or 3
+        assert scores["a2"] < 1.0
 
     def test_batch_combination_matches_scalar(self):
-        det = make_detector("length+ecvc")
-        det.fit([seq([1, 2, 3])])
-        batch = [seq([1, 2, 3]), seq([1, 2]), seq([4, 4, 4])]
-        assert det.score_batch(batch) == [det.score(s) for s in batch]
+        _, scores, train, test = study_row("length+ecvc")
+        members = fitted_members("length+ecvc", train)
+        assert scores == {s.seq_id: max(m.score(s) for m in members) for s in test}
 
     def test_unknown_name_rejected(self):
         with pytest.raises(ValidationError):

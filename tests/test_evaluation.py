@@ -1,11 +1,14 @@
 from __future__ import annotations
 
 import random
+from collections import Counter
+from dataclasses import replace
+from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
-from logbench.detectors import Detector, make_detector
+from logbench.detectors import Detector, STUDY_DETECTORS, make_detector
 from logbench.errors import EvalDataError, ValidationError
 from logbench.evaluation import (
     ConfusionCounts,
@@ -19,13 +22,14 @@ from logbench.evaluation import (
     metrics_from_counts,
     run_seed,
     split,
-    threshold_sweep,
 )
 from logbench.fixtures import event_labeled_corpus, synthetic_corpus
 from logbench.ingest import Label, NORMAL
-from logbench.sequencing import Sequence
+from logbench.sequencing import Sequence, read_sequences
 
-from oracles import confusion_naive
+from oracles import combination_scores_naive, confusion_naive
+
+BUNDLED = Path(__file__).parent.parent / "src" / "logbench" / "data" / "synthetic_sequences.tsv"
 
 
 ANOM = Label(True, "t")
@@ -53,6 +57,14 @@ class FixedScoreDetector(Detector):
 
     def score(self, seq):
         return self.scores[seq.seq_id]
+
+
+def run_detector(train, test, det):
+    """One study row by hand: fit, score the test set once, sweep the column."""
+    det.fit(train)
+    return evaluate_run(
+        det.name, det.thresholded, test, det.score_batch(test), train_size=len(train)
+    )
 
 
 def tiny_dataset(n_normal=10, n_anom=4):
@@ -159,7 +171,7 @@ class TestEvaluateRun:
         seqs = tiny_dataset()
         train, test = split(seqs, EvalConfig(train_fraction=0.2), 0)
         scores = {s.seq_id: (1.0 if s.label.anomalous else 0.0) for s in test}
-        outcome = evaluate_run(train, test, FixedScoreDetector(scores))
+        outcome = run_detector(train, test, FixedScoreDetector(scores))
         assert outcome.best.metrics.f1 == pytest.approx(1.0)
         mid = [r for r in outcome.results if r.threshold == pytest.approx(0.5)][0]
         assert mid.metrics.f1 == pytest.approx(1.0)
@@ -167,7 +179,7 @@ class TestEvaluateRun:
     def test_flag_everything_hadoop_degeneracy(self):
         # 844 anomalies / 1000 items: Prec 0.844, Rec 1, TNR 0, F1 ~ 0.915
         test = [aseq([1], f"a{i}") for i in range(844)] + [nseq([1], f"n{i}") for i in range(156)]
-        outcome = evaluate_run([nseq([1], "tr")], test, FixedScoreDetector({s.seq_id: 1.0 for s in test}))
+        outcome = run_detector([nseq([1], "tr")], test, FixedScoreDetector({s.seq_id: 1.0 for s in test}))
         at0 = outcome.results[0]
         assert at0.threshold == 0.0
         assert at0.metrics.precision == pytest.approx(0.844)
@@ -178,7 +190,7 @@ class TestEvaluateRun:
     def test_grid_enumeration_example(self):
         test = [nseq([1], "n0"), aseq([2], "a0"), aseq([3], "a1")]
         det = FixedScoreDetector({"n0": 0.2, "a0": 0.6, "a1": 0.9})
-        outcome = evaluate_run([nseq([1], "tr")], test, det)
+        outcome = run_detector([nseq([1], "tr")], test, det)
         by_t = {round(r.threshold, 2): r for r in outcome.results}
         for t in (0.2, 0.3, 0.45, 0.59):
             r = by_t[round(t, 2)] if round(t, 2) in by_t else None
@@ -195,14 +207,14 @@ class TestEvaluateRun:
         train, test = split(seqs, EvalConfig(train_fraction=0.2), 0)
         rng = random.Random(0)
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
-        outcome = evaluate_run(train, test, det)
+        outcome = run_detector(train, test, det)
         assert all(r.counts.total == len(test) for r in outcome.results)
 
     def test_flagged_sets_nested_in_threshold(self):
         rng = random.Random(1)
         test = [nseq([1], f"n{i}") for i in range(30)] + [aseq([2], f"a{i}") for i in range(10)]
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
-        outcome = evaluate_run([nseq([1], "tr")], test, det)
+        outcome = run_detector([nseq([1], "tr")], test, det)
         flagged = [r.counts.tp + r.counts.fp for r in outcome.results]
         assert flagged == sorted(flagged, reverse=True)
 
@@ -210,7 +222,7 @@ class TestEvaluateRun:
         seqs = synthetic_corpus(n_normal=40, per_anomaly=3, kinds=("new-event",))
         config = EvalConfig(train_fraction=0.2, repetitions=1)
         train, test = split(seqs, config, 0)
-        outcome = evaluate_run(train, test, make_detector("event"))
+        outcome = run_detector(train, test, make_detector("event"))
         assert len(outcome.results) == 1
         assert outcome.results[0].threshold is None
         assert outcome.best.metrics.f1 == pytest.approx(1.0)
@@ -220,7 +232,7 @@ class TestEvaluateRun:
         test = [nseq([1], f"n{i}") for i in range(600)] + [aseq([2], f"a{i}") for i in range(400)]
         scores = {s.seq_id: rng.choice([0.0, 0.25, 0.5, 0.75, 1.0]) for s in test}
         det = FixedScoreDetector(scores)
-        outcome = evaluate_run([nseq([1], "tr")], test, det)
+        outcome = run_detector([nseq([1], "tr")], test, det)
         ordered_scores = [scores[s.seq_id] for s in test]
         labels = [s.label.anomalous for s in test]
         for r in outcome.results:
@@ -232,7 +244,7 @@ class TestThresholdSweep:
     def test_extremes(self):
         test = [nseq([1], "n0"), aseq([2], "a0")]
         det = FixedScoreDetector({"n0": 0.4, "a0": 0.8})
-        results = threshold_sweep([nseq([1], "tr")], test, det)
+        results = run_detector([nseq([1], "tr")], test, det).results
         assert results[0].threshold == 0.0
         assert results[0].metrics.tnr == 0.0  # all scores > 0: everything flagged
         assert results[-1].threshold == 1.0
@@ -243,7 +255,7 @@ class TestThresholdSweep:
         rng = random.Random(3)
         test = [nseq([1], f"n{i}") for i in range(20)] + [aseq([2], f"a{i}") for i in range(5)]
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
-        results = threshold_sweep([nseq([1], "tr")], test, det)
+        results = run_detector([nseq([1], "tr")], test, det).results
         flagged = [r.counts.tp + r.counts.fp for r in results]
         assert flagged == sorted(flagged, reverse=True)
 
@@ -299,6 +311,107 @@ class TestEvaluateStudy:
         rows = report.score_dump["event"]
         assert len(rows) == len(seqs) - report.train_sizes[0]
         assert all(flag == (score > FLAG_CUTOFF) for _, score, flag, _ in rows)
+
+
+BASES = ("event", "length", "ecvc", "ecvc-idf", "ngram2", "ngram3", "edit", "timing")
+
+
+def random_specs(rng):
+    """Rows of one to three members; repeated members and aliases included."""
+    names = BASES + ("2-gram", "ECVC(idf)", "event-timing")
+    return ["+".join(rng.choice(names) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 6))]
+
+
+class CountingFactory:
+    """make_detector, with every fit and score_batch call tallied per base name."""
+
+    def __init__(self):
+        self.fits = Counter()
+        self.scores = Counter()
+
+    def __call__(self, part):
+        detector = make_detector(part)
+        fit, score_batch = detector.fit, detector.score_batch
+
+        def counted_fit(train):
+            self.fits[detector.name] += 1
+            return fit(train)
+
+        def counted_score_batch(seqs):
+            self.scores[detector.name] += 1
+            return score_batch(seqs)
+
+        detector.fit, detector.score_batch = counted_fit, counted_score_batch
+        return detector
+
+
+class TestSharedScoreColumns:
+    @pytest.mark.parametrize("timestamps", [True, False])
+    @pytest.mark.parametrize("jobs,dump", [(1, False), (2, False), (1, True), (2, True)])
+    def test_rows_match_member_max_oracle(self, jobs, dump, timestamps):
+        seqs = read_sequences(BUNDLED)
+        if not timestamps:
+            seqs = [replace(s, timestamps=None) for s in seqs]
+        rng = random.Random(100 * jobs + 10 * dump + timestamps)
+        for trial in range(3):
+            specs = random_specs(rng)
+            config = EvalConfig(train_fraction=0.1, repetitions=2, rng_seed=trial)
+            report = evaluate_study(seqs, config, specs, jobs=jobs, dump_run0_scores=dump)
+            outcomes = iter(report.outcomes)
+            for run in range(config.repetitions):
+                train, test = split(seqs, config, run)
+                labels = [s.label.anomalous for s in test]
+                for spec in specs:
+                    outcome = next(outcomes)
+                    expected = combination_scores_naive(spec, train, test)
+                    assert outcome.not_applicable == (expected is None), spec
+                    if expected is None:
+                        assert not outcome.results and outcome.detector not in report.score_dump
+                        continue
+                    for res in outcome.results:
+                        cutoff = FLAG_CUTOFF if res.threshold is None else res.threshold
+                        counts = (res.counts.tp, res.counts.fp, res.counts.tn, res.counts.fn)
+                        assert counts == confusion_naive(expected, labels, cutoff), (spec, cutoff)
+                    if dump and run == 0:
+                        dumped = report.score_dump[outcome.detector]
+                        assert [row[0] for row in dumped] == [s.seq_id for s in test]
+                        assert [row[1] for row in dumped] == expected
+                        best = outcome.best
+                        cutoff = FLAG_CUTOFF if best is None or best.threshold is None else best.threshold
+                        assert [row[2] for row in dumped] == [v > cutoff for v in expected]
+            assert next(outcomes, None) is None
+            assert bool(report.score_dump) == (dump and any(not o.not_applicable for o in report.outcomes))
+
+    @pytest.mark.parametrize("dump", [False, True])
+    def test_each_base_fitted_and_scored_once_per_run(self, dump):
+        seqs = read_sequences(BUNDLED)
+        factory = CountingFactory()
+        config = EvalConfig(train_fraction=0.1, repetitions=3)
+        evaluate_study(seqs, config, STUDY_DETECTORS, detector_factory=factory, dump_run0_scores=dump)
+        bases = {part for spec in STUDY_DETECTORS for part in spec.split("+")}
+        assert len(bases) == 9
+        assert factory.fits == {base: 3 for base in bases}
+        assert factory.scores == {base: 3 for base in bases}
+
+    def test_aliases_share_one_column(self):
+        seqs = read_sequences(BUNDLED)
+        factory = CountingFactory()
+        config = EvalConfig(train_fraction=0.1, repetitions=1)
+        report = evaluate_study(
+            seqs, config, ["ecvc(idf)", "ecvc-idf+2-gram", "ngram2", "event+event"], detector_factory=factory
+        )
+        assert [o.detector for o in report.outcomes] == ["ecvc-idf", "ecvc-idf+ngram2", "ngram2", "event+event"]
+        assert factory.fits == {"ecvc-idf": 1, "ngram2": 1, "event": 1}
+        assert factory.scores == factory.fits
+
+    def test_not_applicable_member_is_fitted_once(self):
+        seqs = [replace(s, timestamps=None) for s in read_sequences(BUNDLED)]
+        factory = CountingFactory()
+        config = EvalConfig(train_fraction=0.1, repetitions=1)
+        report = evaluate_study(seqs, config, ["timing", "event+timing", "event"], detector_factory=factory)
+        assert [o.not_applicable for o in report.outcomes] == [True, True, False]
+        assert factory.fits == {"timing": 1, "event": 1}
+        assert factory.scores == {"event": 1}
 
 
 class TestEvaluateEvents:

@@ -76,7 +76,6 @@ class TestGroupByWindow:
             [2, 3, 4, 5, 6],
             [4, 5, 6],
         ]
-        assert all(w.origin == "window" for w in windows)
 
     def test_window_at_least_stream_length(self):
         events = [ev(i + 1, i, ["x"]) for i in range(4)]
