@@ -321,10 +321,19 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
 def _parse_entropy_ns(spec: str) -> tuple[int, ...]:
     spec = spec.strip()
-    if ".." in spec:
-        lo, hi = spec.split("..", 1)
-        return tuple(range(int(lo), int(hi) + 1))
-    return tuple(int(part) for part in spec.split(","))
+    try:
+        if ".." in spec:
+            lo, hi = spec.split("..", 1)
+            ns = tuple(range(int(lo), int(hi) + 1))
+        else:
+            ns = tuple(int(part) for part in spec.split(","))
+    except ValueError:
+        raise ValidationError(
+            f"--entropy-n expects N, N,M,... or LO..HI with integers, got {spec!r}"
+        ) from None
+    if not ns:
+        raise ValidationError(f"--entropy-n range {spec!r} is empty")
+    return ns
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:

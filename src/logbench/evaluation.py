@@ -23,7 +23,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as PySequence, TextIO
 
-from .detectors import Detector, make_detector
+from .detectors import Detector, NewEventTypeDetector, make_detector
 from .errors import DetectorNotApplicable, EvalDataError, ValidationError
 from .sequencing import Sequence
 
@@ -394,9 +394,7 @@ def evaluate_events(seqs: list[Sequence], config: EvalConfig) -> StudyReport:
     outcomes = []
     for r in range(config.repetitions):
         train, test = split(seqs, config, r)
-        known: set[int] = set()
-        for seq in train:
-            known.update(seq.events)
+        known = NewEventTypeDetector().fit(train).known_events
         tp = fp = tn = fn = 0
         for seq in test:
             for event, label in zip(seq.events, seq.event_labels):

@@ -5,6 +5,17 @@ A dataset profile describes the per-dataset line conventions (preamble
 fields, timestamp format, sequence identifier extraction, label source).
 Parsing a file yields one ParsedEvent per matched line and an IngestReport
 with exact accounting: matched + unmatched + invalid = total lines.
+
+Matching rests on one invariant. A *whole literal token* of a template is
+a run of non-whitespace inside a literal segment with whitespace on both
+sides, where the start of the first segment and the end of the last
+segment count as whitespace. If a template fullmatches a message, each of
+its whole literal tokens is also a whitespace-separated token of that
+message. The catalog therefore indexes each template under one whole
+token (its leading one when it has one, else its rarest) and tries only
+the templates indexed under the message's own tokens, plus the templates
+without a whole token, in catalog order. The result is the one a linear
+scan over the whole catalog gives.
 """
 
 from __future__ import annotations
@@ -12,21 +23,17 @@ from __future__ import annotations
 import csv
 import logging
 import re
+from collections import Counter
 from dataclasses import dataclass, field, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
-from typing import Iterable, Iterator, Mapping, TextIO
+from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import CatalogError, ProfileError, ValidationError
 
 LOGGER = logging.getLogger("logbench.ingest")
 
 WILDCARD = "<*>"
-
-#: Role names a template wildcard may be annotated with.
-ROLE_SEQ_ID = "sequence-id"
-ROLE_TIMESTAMP = "timestamp"
-ROLE_OTHER = "other"
 
 #: Cap on stored per-line error records; totals keep counting past it.
 MAX_ERROR_RECORDS = 1000
@@ -77,7 +84,6 @@ class EventTemplate:
     pattern: str
     segments: tuple[str, ...]
     regex: re.Pattern
-    param_roles: Mapping[int, str] | None = None
 
     @property
     def n_wildcards(self) -> int:
@@ -88,9 +94,7 @@ class EventTemplate:
         return sum(len(seg) for seg in self.segments)
 
 
-def compile_template(
-    event_id: int, pattern: str, param_roles: Mapping[int, str] | None = None
-) -> EventTemplate:
+def compile_template(event_id: int, pattern: str) -> EventTemplate:
     """Compile a `<*>`-wildcard pattern into an anchored regex template.
 
     Wildcards match non-greedily up to the next literal; a trailing
@@ -106,38 +110,83 @@ def compile_template(
         )
     body = "(.*?)".join(re.escape(seg) for seg in segments)
     regex = re.compile(body)
-    if param_roles is not None:
-        bad = [i for i in param_roles if not 0 <= i < len(segments) - 1]
-        if bad:
-            raise CatalogError(f"template {event_id}: role index out of range: {bad}")
-    return EventTemplate(event_id, pattern, segments, regex, param_roles)
+    return EventTemplate(event_id, pattern, segments, regex)
+
+
+def _index_tokens(segments: tuple[str, ...]) -> tuple[str | None, list[str]]:
+    """A template's leading whole literal token (None if it has none) and all its whole literal tokens."""
+    last = len(segments) - 1
+    leading = None
+    whole: list[str] = []
+    for i, seg in enumerate(segments):
+        for m in _TOKEN_RE.finditer(seg):
+            if (i == 0 or m.start() > 0) and (i == last or m.end() < len(seg)):
+                # Every run of the first segment but its last is whole, so
+                # `whole` is still empty here only at that segment's first run.
+                if i == 0 and not whole:
+                    leading = m.group()
+                whole.append(m.group())
+    return leading, whole
 
 
 class TemplateCatalog:
     """Ordered template collection; matching tries the most specific template first.
 
     Order: longest total literal length first, ties broken by lowest event id.
+    Each template is indexed under one whole literal token (see the module
+    docstring): its leading one if it has one, else the one fewest templates
+    share. A template without a whole token, such as the catch-all `<*>`,
+    is a candidate for every message.
     """
 
     def __init__(self, templates: Iterable[EventTemplate]):
-        self.templates = sorted(
-            templates, key=lambda t: (-t.literal_length, t.event_id)
+        self.templates = tuple(
+            sorted(templates, key=lambda t: (-t.literal_length, t.event_id))
         )
         self.by_id: dict[int, EventTemplate] = {}
         for tpl in self.templates:
             if tpl.event_id in self.by_id:
                 raise CatalogError(f"duplicate event id {tpl.event_id} in catalog")
             self.by_id[tpl.event_id] = tpl
+        self._fullmatch = [tpl.regex.fullmatch for tpl in self.templates]
+        keys = [_index_tokens(tpl.segments) for tpl in self.templates]
+        shared = Counter(token for _, whole in keys for token in set(whole))
+        by_first: dict[str, list[int]] = {}
+        by_inner: dict[str, list[int]] = {}
+        always: list[int] = []
+        for rank, (leading, whole) in enumerate(keys):
+            if leading is not None:
+                by_first.setdefault(leading, []).append(rank)
+            elif whole:
+                by_inner.setdefault(min(whole, key=shared.__getitem__), []).append(rank)
+            else:
+                always.append(rank)
+        # Values are ranks in `templates`; the always-tried ranks are merged
+        # into every first-token bucket so a lookup needs no further merge.
+        self._always = tuple(always)
+        self._by_first = {tok: tuple(sorted(r + always)) for tok, r in by_first.items()}
+        self._by_inner = {tok: tuple(r) for tok, r in by_inner.items()}
 
     def __len__(self) -> int:
         return len(self.templates)
 
     def match(self, message: str) -> tuple[EventTemplate, tuple[str, ...]] | None:
         """Return the first (most specific) matching template and its wildcard captures."""
-        for tpl in self.templates:
-            m = tpl.regex.fullmatch(message)
+        if self._by_inner:
+            tokens = message.split()
+            ranks = list(self._by_first.get(tokens[0], self._always) if tokens else self._always)
+            for token in set(tokens):
+                hit = self._by_inner.get(token)
+                if hit is not None:
+                    ranks += hit
+            ranks.sort()
+        else:
+            head = message.split(None, 1)
+            ranks = self._by_first.get(head[0], self._always) if head else self._always
+        for rank in ranks:
+            m = self._fullmatch[rank](message)
             if m is not None:
-                return tpl, m.groups()
+                return self.templates[rank], m.groups()
         return None
 
 
@@ -203,6 +252,7 @@ class DatasetProfile:
             raise ProfileError("event-marker profiles require label_token")
         if self.timestamp_pattern and not self.timestamp_format:
             raise ProfileError("timestamp_pattern requires timestamp_format")
+        _parse_timezone(self.timezone)
 
 
 _PROFILE_INT_KEYS = {"preamble_tokens", "seq_id_token", "base_year", "label_token"}
@@ -241,7 +291,12 @@ def load_profile_file(path: str | Path) -> DatasetProfile:
             if key not in _PROFILE_KEYS:
                 raise ProfileError(f"{path}:{line_no}: unknown profile key {key!r}")
             if key in _PROFILE_INT_KEYS:
-                values[key] = int(value)
+                try:
+                    values[key] = int(value)
+                except ValueError:
+                    raise ProfileError(
+                        f"{path}:{line_no}: {key} must be an integer, got {value!r}"
+                    ) from None
             elif key in _PROFILE_BOOL_KEYS:
                 values[key] = value.lower() in ("1", "true", "yes")
             else:
@@ -318,36 +373,6 @@ class IngestReport:
             self.timestamp_errors.append((line_no, reason))
 
 
-class _ProfileMachinery:
-    """Compiled per-profile extraction state, cached on demand."""
-
-    def __init__(self, profile: DatasetProfile):
-        self.profile = profile
-        self.seq_id_re = re.compile(profile.seq_id_pattern) if profile.seq_id_pattern else None
-        self.ts_re = re.compile(profile.timestamp_pattern) if profile.timestamp_pattern else None
-        self.tzinfo = _parse_timezone(profile.timezone)
-        self.ts_has_year = bool(
-            profile.timestamp_format
-            and ("%y" in profile.timestamp_format or "%Y" in profile.timestamp_format)
-        )
-        self.max_token = max(
-            profile.preamble_tokens,
-            (profile.label_token + 1) if profile.label_token is not None else 0,
-            (profile.seq_id_token + 1) if profile.seq_id_token is not None else 0,
-        )
-
-
-_MACHINERY_CACHE: dict[int, _ProfileMachinery] = {}
-
-
-def _machinery(profile: DatasetProfile) -> _ProfileMachinery:
-    mach = _MACHINERY_CACHE.get(id(profile))
-    if mach is None or mach.profile is not profile:
-        mach = _ProfileMachinery(profile)
-        _MACHINERY_CACHE[id(profile)] = mach
-    return mach
-
-
 def _parse_timezone(spec: str) -> timezone:
     if spec.upper() == "UTC":
         return timezone.utc
@@ -358,34 +383,41 @@ def _parse_timezone(spec: str) -> timezone:
     return timezone(sign * timedelta(hours=int(m.group(2)), minutes=int(m.group(3))))
 
 
-def parse_timestamp_text(text: str, profile: DatasetProfile) -> float:
-    """Parse a timestamp string to epoch seconds per the profile format."""
+def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
+    """The profile's timestamp-text-to-epoch-seconds function; None without a timestamp_format."""
     fmt = profile.timestamp_format
     if fmt is None:
-        raise ValidationError("profile has no timestamp_format")
+        return None
     if fmt == "epoch":
-        return float(text)
-    mach = _machinery(profile)
-    dt = datetime.strptime(text, fmt)
-    if not mach.ts_has_year:
-        dt = dt.replace(year=profile.base_year if profile.base_year else 1970)
-    return dt.replace(tzinfo=mach.tzinfo).timestamp()
+        return float
+    tzinfo = _parse_timezone(profile.timezone)
+    year = None if "%y" in fmt or "%Y" in fmt else (profile.base_year or 1970)
+
+    def convert(text: str) -> float:
+        dt = datetime.strptime(text, fmt)
+        if year is not None:
+            dt = dt.replace(year=year)
+        return dt.replace(tzinfo=tzinfo).timestamp()
+
+    return convert
 
 
-def _extract_timestamp(
-    line: str, profile: DatasetProfile
-) -> tuple[float | None, str | None]:
-    mach = _machinery(profile)
-    if mach.ts_re is None:
-        return None, None
-    m = mach.ts_re.search(line)
-    if m is None:
-        return None, "timestamp pattern not found"
-    raw = m.group(1) if m.groups() else m.group(0)
+def parse_timestamp_text(text: str, profile: DatasetProfile) -> float:
+    """Parse a timestamp string to epoch seconds per the profile format."""
+    convert = _stamp_converter(profile)
+    if convert is None:
+        raise ValidationError("profile has no timestamp_format")
+    return convert(text)
+
+
+def _compile_profile_regex(profile: DatasetProfile, key: str) -> re.Pattern | None:
+    pattern = getattr(profile, key)
+    if not pattern:
+        return None
     try:
-        return parse_timestamp_text(raw, profile), None
-    except (ValueError, OverflowError) as exc:
-        return None, f"unparseable timestamp {raw!r}: {exc}"
+        return re.compile(pattern)
+    except re.error as exc:
+        raise ProfileError(f"{key} {pattern!r} does not compile: {exc}") from None
 
 
 def _dedup(ids: Iterable[str]) -> tuple[str, ...]:
@@ -398,36 +430,93 @@ def _dedup(ids: Iterable[str]) -> tuple[str, ...]:
     return tuple(out)
 
 
-def _extract_seq_ids(line: str, tokens: list[str], profile: DatasetProfile) -> tuple[str, ...]:
-    if profile.seq_id_token is not None:
-        if profile.seq_id_token < len(tokens):
-            return (tokens[profile.seq_id_token],)
-        return ()
-    mach = _machinery(profile)
-    if mach.seq_id_re is None:
-        return ()
-    if mach.seq_id_re.groups > 1:
-        raise ProfileError("seq_id_pattern must have at most one capture group")
-    return _dedup(mach.seq_id_re.findall(line))
+class LineParser:
+    """Parses the lines of one file against one catalog under one profile.
 
-
-def _split_tokens(line: str, n_tokens: int, preamble_tokens: int) -> tuple[list[str], int]:
-    """Return up to `n_tokens` leading tokens and the offset where the message starts.
-
-    The message begins at token index `preamble_tokens`; a line with fewer
-    tokens than the preamble has an empty message.
+    Built once per file: it compiles the profile's regexes and timestamp
+    conversion, works out how many leading tokens a line needs, and checks
+    the seq-id capture groups up front, so a malformed profile fails before
+    the first line. It keeps the last timestamp text and what it parsed to,
+    because consecutive lines often carry the same stamp (one-second
+    resolution).
     """
-    tokens: list[str] = []
-    msg_offset = 0 if preamble_tokens == 0 else len(line)
-    stop = max(n_tokens, preamble_tokens + 1)
-    for i, m in enumerate(_TOKEN_RE.finditer(line)):
-        if i < n_tokens:
-            tokens.append(m.group(0))
-        if preamble_tokens and i == preamble_tokens:
-            msg_offset = m.start()
-        if i + 1 >= stop:
-            break
-    return tokens, msg_offset
+
+    def __init__(self, catalog: TemplateCatalog | None, profile: DatasetProfile):
+        if catalog is None or len(catalog) == 0:
+            raise ValidationError("cannot parse with an empty template catalog")
+        self.catalog = catalog
+        self.profile = profile
+        self.seq_id_re = _compile_profile_regex(profile, "seq_id_pattern")
+        if self.seq_id_re is not None and self.seq_id_re.groups > 1:
+            raise ProfileError("seq_id_pattern must have at most one capture group")
+        self.ts_re = _compile_profile_regex(profile, "timestamp_pattern")
+        self.ts_group = 1 if self.ts_re is not None and self.ts_re.groups else 0
+        self.to_epoch = _stamp_converter(profile)
+        self.max_token = max(
+            profile.preamble_tokens,
+            (profile.label_token + 1) if profile.label_token is not None else 0,
+            (profile.seq_id_token + 1) if profile.seq_id_token is not None else 0,
+        )
+        self.marks_labels = profile.label_source == "event-marker" and profile.label_token is not None
+        self._stamp_text: str | None = None
+        self._stamp: tuple[float | None, str | None] = (None, None)
+
+    def split(self, line: str) -> tuple[list[str], str]:
+        """The line's leading tokens and its message.
+
+        Entries below index `max_token` are the line's first whitespace
+        tokens; one more entry may hold the rest of the line. The message
+        starts at token index `preamble_tokens` and keeps any trailing
+        whitespace; a line with fewer tokens has an empty message.
+        """
+        pre = self.profile.preamble_tokens
+        tokens = line.split(None, self.max_token) if self.max_token else []
+        if not pre:
+            return tokens, line
+        parts = tokens if pre == self.max_token else line.split(None, pre)
+        return tokens, parts[pre] if len(parts) > pre else ""
+
+    def _timestamp(self, line: str) -> tuple[float | None, str | None]:
+        if self.ts_re is None:
+            return None, None
+        m = self.ts_re.search(line)
+        text = None if m is None else m.group(self.ts_group)
+        if text is None:
+            return None, "timestamp pattern not found"
+        if text != self._stamp_text:
+            try:
+                self._stamp = self.to_epoch(text), None
+            except (ValueError, OverflowError) as exc:
+                self._stamp = None, f"unparseable timestamp {text!r}: {exc}"
+            self._stamp_text = text
+        return self._stamp
+
+    def parse(
+        self, line: str, line_no: int = 1, report: IngestReport | None = None
+    ) -> ParsedEvent | None:
+        """Match one line; None when no template matches. See `parse_line`."""
+        profile = self.profile
+        tokens, message = self.split(line)
+        matched = self.catalog.match(message)
+        if matched is None:
+            return None
+
+        label: Label | None = None
+        if self.marks_labels and profile.label_token < len(tokens):
+            marker = tokens[profile.label_token]
+            label = NORMAL if marker == profile.normal_marker else Label(True, marker)
+
+        timestamp, ts_error = self._timestamp(line)
+        if ts_error and report is not None:
+            report.add_timestamp_error(line_no, ts_error)
+
+        seq_ids: tuple[str, ...] = ()
+        if profile.seq_id_token is not None:
+            if profile.seq_id_token < len(tokens):
+                seq_ids = (tokens[profile.seq_id_token],)
+        elif self.seq_id_re is not None:
+            seq_ids = _dedup(self.seq_id_re.findall(line))
+        return ParsedEvent(line_no, matched[0].event_id, timestamp, seq_ids, label)
 
 
 def parse_line(
@@ -441,44 +530,10 @@ def parse_line(
     """Match one line against the catalog; returns None when no template matches.
 
     Matching never throws: an unparseable timestamp yields an event with
-    timestamp None plus an error record on the report.
+    timestamp None plus an error record on the report. Each call builds a
+    `LineParser`; `parse_file` builds one per file.
     """
-    if len(catalog) == 0:
-        raise ValidationError("cannot parse with an empty template catalog")
-    mach = _machinery(profile)
-    tokens, msg_start = _split_tokens(line, mach.max_token, profile.preamble_tokens)
-    message = line[msg_start:] if profile.preamble_tokens else line
-    matched = catalog.match(message)
-    if matched is None:
-        return None
-    template, groups = matched
-
-    label: Label | None = None
-    if profile.label_source == "event-marker" and profile.label_token is not None:
-        if profile.label_token < len(tokens):
-            marker = tokens[profile.label_token]
-            label = NORMAL if marker == profile.normal_marker else Label(True, marker)
-
-    timestamp, ts_error = _extract_timestamp(line, profile)
-    seq_ids = list(_extract_seq_ids(line, tokens, profile))
-
-    if template.param_roles:
-        for idx, role in template.param_roles.items():
-            if idx >= len(groups):
-                continue
-            value = groups[idx]
-            if role == ROLE_SEQ_ID:
-                seq_ids.append(value)
-            elif role == ROLE_TIMESTAMP and timestamp is None:
-                try:
-                    timestamp = parse_timestamp_text(value, profile)
-                    ts_error = None
-                except (ValueError, ValidationError):
-                    ts_error = f"unparseable timestamp capture {value!r}"
-
-    if ts_error and report is not None:
-        report.add_timestamp_error(line_no, ts_error)
-    return ParsedEvent(line_no, template.event_id, timestamp, _dedup(seq_ids), label)
+    return LineParser(catalog, profile).parse(line, line_no, report)
 
 
 def _count_event(report: IngestReport, event: ParsedEvent) -> None:
@@ -508,14 +563,14 @@ def parse_file(
     event into one sequence (file-per-sequence datasets). In tokenized
     mode each whitespace token is its own integer event and counts as one
     logical line. Unmatched lines are optionally dumped to `unmatched_sink`.
+    One `LineParser` parses every line of the file.
     """
     if report is None:
         report = IngestReport()
     if profile.tokenized:
         yield from _parse_tokenized(path, profile, report, seq_id)
         return
-    if catalog is None or len(catalog) == 0:
-        raise ValidationError("cannot parse with an empty template catalog")
+    parser = LineParser(catalog, profile)
     with open(path, encoding="utf-8", errors="replace") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n\r")
@@ -523,7 +578,7 @@ def parse_file(
             if not line.strip():
                 report.invalid_lines += 1
                 continue
-            event = parse_line(line, catalog, profile, line_no=line_no, report=report)
+            event = parser.parse(line, line_no, report)
             if event is None:
                 report.unmatched_lines += 1
                 if unmatched_sink is not None:
@@ -569,7 +624,7 @@ def dir_label_map(root: str | Path, profile: DatasetProfile) -> dict[str, Label]
     (tag = first capture group when present); everything else is normal.
     """
     root = Path(root)
-    pattern = re.compile(profile.anomaly_dir_pattern) if profile.anomaly_dir_pattern else None
+    pattern = _compile_profile_regex(profile, "anomaly_dir_pattern")
     labels: dict[str, Label] = {}
     for path in iter_dataset_files(root):
         rel = path.relative_to(root).as_posix()

@@ -10,6 +10,7 @@ it verifies lives in `logbench.evaluation`.
 from __future__ import annotations
 
 import math
+import re
 
 from logbench.detectors import make_detector
 from logbench.errors import DetectorNotApplicable
@@ -129,3 +130,28 @@ def combination_scores_naive(spec, train, test, **knobs):
             if value > scores[i]:
                 scores[i] = value
     return scores
+
+
+def catalog_match_naive(catalog, message):
+    """Try every template in catalog order; the first fullmatch wins."""
+    for tpl in catalog.templates:
+        m = tpl.regex.fullmatch(message)
+        if m is not None:
+            return tpl, m.groups()
+    return None
+
+
+def split_line_naive(line, preamble_tokens, n_tokens):
+    """Up to `n_tokens` leading tokens and the message, from regex token offsets.
+
+    The message is the line from the start of token `preamble_tokens` on,
+    empty when the line has fewer tokens, and the whole line without a
+    preamble.
+    """
+    spans = [(m.start(), m.group()) for m in re.finditer(r"\S+", line)]
+    tokens = [text for _, text in spans[:n_tokens]]
+    if not preamble_tokens:
+        return tokens, line
+    if len(spans) <= preamble_tokens:
+        return tokens, ""
+    return tokens, line[spans[preamble_tokens][0] :]

@@ -149,6 +149,54 @@ class TestComplexityCommand:
         body = out.read_text()
         assert "entropy,1," in body and "entropy,2," in body
 
+    @pytest.mark.parametrize("spec, message", [("abc", "integers"), ("3..1", "empty"), ("1..x", "integers")])
+    def test_bad_entropy_n_rejected(self, tmp_path, sequence_store, capsys, spec, message):
+        out = tmp_path / "c.csv"
+        assert run("complexity", "--input", sequence_store, "--entropy-n", spec, "--out", out) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: --entropy-n") and message in err
+        assert not out.exists()
+
+
+class TestParseProfileErrors:
+    """A malformed profile ends in an `error:` line and exit 2, not a traceback."""
+
+    def _parse(self, tmp_path, synthetic_log_path, profile_text):
+        profile = tmp_path / "bad.profile"
+        profile.write_text(profile_text)
+        out = tmp_path / "ev.tsv"
+        code = run(
+            "parse",
+            "--profile", profile,
+            "--templates", DATA / "synthetic.templates",
+            "--input", synthetic_log_path,
+            "--out", out,
+        )
+        assert not out.exists()
+        return code, profile
+
+    def test_non_integer_value_names_the_line(self, tmp_path, synthetic_log_path, capsys):
+        code, profile = self._parse(
+            tmp_path, synthetic_log_path, "name = x\nlabel_source = sequence-file\npreamble_tokens = five\n"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {profile}:3: preamble_tokens")
+
+    @pytest.mark.parametrize(
+        "line",
+        ["seq_id_pattern = blk_(\\d+", "timestamp_pattern = ^(\\d{6}\ntimestamp_format = epoch"],
+        ids=["seq_id_pattern", "timestamp_pattern"],
+    )
+    def test_uncompilable_pattern_names_the_key(self, tmp_path, synthetic_log_path, capsys, line):
+        code, _ = self._parse(
+            tmp_path, synthetic_log_path, f"name = x\nlabel_source = sequence-file\npreamble_tokens = 5\n{line}\n"
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        key = line.split(" =")[0]
+        assert err.startswith(f"error: {key} ") and "does not compile" in err
+
 
 class TestEvalCommand:
     def test_bundled_corpus_summary_has_row_per_detector(self, tmp_path, bundled_corpus_path):

@@ -439,6 +439,18 @@ class TestEvaluateEvents:
         total_events = sum(len(s) for s in test)
         assert report.outcomes[0].results[0].counts.total == total_events
 
+    def test_counts_flag_event_types_unseen_in_training(self):
+        seqs = event_labeled_corpus(n_normal=30, n_anomalous=8)
+        config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=4)
+        report = evaluate_events(seqs, config)
+        for r, outcome in enumerate(report.outcomes):
+            train, test = split(seqs, config, r)
+            known = {e for seq in train for e in seq.events}
+            scores = [float(e not in known) for seq in test for e in seq.events]
+            labels = [lab.anomalous for seq in test for lab in seq.event_labels]
+            counts = outcome.results[0].counts
+            assert (counts.tp, counts.fp, counts.tn, counts.fn) == confusion_naive(scores, labels, 0.5)
+
     def test_refused_without_event_labels(self):
         with pytest.raises(EvalDataError, match="per-event labels"):
             evaluate_events(tiny_dataset(), EvalConfig(train_fraction=0.2))

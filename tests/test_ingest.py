@@ -1,15 +1,19 @@
 from __future__ import annotations
 
 import logging
+from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
+
+from oracles import catalog_match_naive, split_line_naive
 
 from logbench.errors import CatalogError, ProfileError, ValidationError
 from logbench.ingest import (
     DatasetProfile,
     IngestReport,
     Label,
+    LineParser,
     NORMAL,
     ParsedEvent,
     compile_template,
@@ -20,12 +24,15 @@ from logbench.ingest import (
     parse_label,
     parse_line,
     parse_file,
+    parse_timestamp_text,
     parse_tree,
     read_events,
     write_events,
     TemplateCatalog,
 )
 
+
+DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
 
 HDFS_LINE = (
     "081109 203518 143 INFO dfs.DataNode$DataXceiver: "
@@ -181,14 +188,201 @@ class TestParseLine:
         assert normal.label == NORMAL
         assert anom.label == Label(True, "KERNDTLB")
 
-    def test_role_extraction(self):
-        tpl = compile_template(
-            1, "job <*> started at <*>", param_roles={0: "sequence-id"}
+
+# Pieces random templates are glued from: words, separators, wildcards, punctuation.
+TEMPLATE_PIECES = ["blk", "ok", "x", "to", " ", "  ", "\t", "\u00a0", ":", "<*>", "<*><*>", "blk<*>", "<*>:x"]
+# What a message puts where a template has a wildcard.
+FILLS = ["", " ", "  ", "\t", "7", "blk", "blk_3", "ok x", ":", "to", "x:y", "\u00a0"]
+
+
+def _catalog_from(patterns):
+    templates = []
+    for event_id, pattern in enumerate(patterns, 1):
+        try:
+            templates.append(compile_template(event_id, pattern))
+        except CatalogError:
+            continue  # wildcards only, not the catch-all
+    return TemplateCatalog(templates)
+
+
+@st.composite
+def catalog_and_messages(draw):
+    """A random catalog and messages built from its templates' own literals."""
+    patterns = draw(
+        st.lists(
+            st.one_of(
+                st.just("<*>"),
+                st.lists(st.sampled_from(TEMPLATE_PIECES), min_size=1, max_size=7).map("".join),
+            ),
+            min_size=1,
+            max_size=12,
         )
-        catalog = TemplateCatalog([tpl])
-        profile = DatasetProfile(name="r", label_source="sequence-file")
-        ev = parse_line("job J77 started at noon", catalog, profile)
-        assert ev.seq_ids == ("J77",)
+    )
+    catalog = _catalog_from(patterns)
+    messages = []
+    for _ in range(draw(st.integers(1, 12))):
+        if catalog.templates and draw(st.booleans()):
+            tpl = draw(st.sampled_from(catalog.templates))
+            parts = [tpl.segments[0]]
+            for seg in tpl.segments[1:]:
+                parts += [draw(st.sampled_from(FILLS)), seg]
+            message = "".join(parts)
+        else:
+            message = " ".join(draw(st.lists(st.sampled_from(TEMPLATE_PIECES + FILLS), max_size=5)))
+        messages.append(draw(st.sampled_from(["", " ", "\t", "  "])) + message)
+    return catalog, messages
+
+
+def _hit(result):
+    return None if result is None else (result[0].event_id, result[1])
+
+
+class TestIndexedMatch:
+    """The token index picks what the linear scan in catalog order picks."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(catalog_and_messages())
+    def test_matches_linear_scan_on_random_catalogs(self, case):
+        catalog, messages = case
+        for message in messages:
+            assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message)), message
+
+    @pytest.mark.parametrize(
+        "patterns, message, expected",
+        [
+            (["<*> served <*>", "x served <*>"], "x served y", 2),  # leading wildcard vs leading token
+            (["blk<*> ok", "<*>:x ok"], "blk_1:x ok", 1),  # glued wildcards have no whole first token
+            (["<*><*>ok", "<*>"], "a ok", 1),
+            (["<*>", "to <*>"], "to x", 2),  # catch-all is tried after the more specific template
+            (["<*>", "to <*>"], "", 1),
+            (["ok  to", "ok <*>"], "ok  to", 1),  # literal-only, repeated space
+            (["ok <*>", "<*> ok <*>"], "\tok ok x", 2),  # leading whitespace in the message
+        ],
+    )
+    def test_edge_cases(self, patterns, message, expected):
+        catalog = _catalog_from(patterns)
+        assert _hit(catalog_match_naive(catalog, message))[0] == expected
+        assert _hit(catalog.match(message))[0] == expected
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.data())
+    def test_bundled_hdfs_catalog(self, data):
+        catalog = load_template_catalog(DATA / "hdfs.templates")
+        assert {2, 4, 12, 16, 17} <= {t.event_id for t in catalog.templates if t.pattern.startswith("<*>")}
+        tpl = data.draw(st.sampled_from(catalog.templates))
+        fills = data.draw(st.lists(st.sampled_from(FILLS), min_size=tpl.n_wildcards, max_size=tpl.n_wildcards))
+        message = tpl.segments[0] + "".join(f + seg for f, seg in zip(fills, tpl.segments[1:]))
+        assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message))
+
+    def test_bundled_hdfs_catalog_on_synthetic_log(self, synthetic_log_path, synthetic_profile):
+        catalog = load_template_catalog(DATA / "hdfs.templates")
+        parser = LineParser(catalog, synthetic_profile)
+        for line in synthetic_log_path.read_text().splitlines():
+            _, message = parser.split(line)
+            expected = _hit(catalog_match_naive(catalog, message))
+            assert _hit(catalog.match(message)) == expected
+            event = parser.parse(line)
+            assert (event and event.event_id) == (expected and expected[0])
+
+
+WHITESPACE = [" ", "  ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.lists(
+        st.one_of(st.sampled_from(WHITESPACE), st.sampled_from(["a", "bb", "-", "blk_1", "\u00e9"])),
+        max_size=12,
+    ).map("".join),
+    st.integers(0, 3),
+    st.sampled_from([None, 0, 2, 5]),
+)
+def test_line_split_matches_regex_offsets(line, preamble, label_token):
+    """LineParser.split cuts tokens and message where the regex token offsets do."""
+    profile = DatasetProfile(
+        name="p",
+        label_source="sequence-file" if label_token is None else "event-marker",
+        preamble_tokens=preamble,
+        label_token=label_token,
+    )
+    parser = LineParser(make_catalog((1, "a <*>")), profile)
+    tokens, message = parser.split(line)
+    expected_tokens, expected_message = split_line_naive(line, preamble, parser.max_token)
+    assert (tokens[: parser.max_token], message) == (expected_tokens, expected_message)
+
+
+class TestTimestampMemo:
+    PROFILE = DatasetProfile(
+        name="m",
+        label_source="sequence-file",
+        preamble_tokens=2,
+        seq_id_pattern=r"blk_\d+",
+        timestamp_pattern=r"^(?:(\d{6} \d{6})|XX)\s",
+        timestamp_format="%y%m%d %H%M%S",
+    )
+    STAMPS = [
+        "080109 120000",
+        "080109 120000",
+        "080109 120001",
+        "081399 120001",  # month 13: unparseable
+        "081399 120001",
+        "080109 120001",
+        "081399 120001",
+        "XX YY",  # the stamp group takes no part in the match
+        "080109 120000",
+    ]
+
+    def test_same_timestamps_and_errors_as_per_line_parsing(self, tmp_path):
+        catalog = make_catalog((1, "Finalizing <*>"))
+        log = tmp_path / "stamps.log"
+        log.write_text("".join(f"{stamp} Finalizing blk_{i}\n" for i, stamp in enumerate(self.STAMPS)))
+        memo_report = IngestReport()
+        events = list(parse_file(log, catalog, self.PROFILE, report=memo_report))
+
+        line_report = IngestReport()
+        for line_no, line in enumerate(log.read_text().splitlines(), 1):
+            expected = parse_line(line, catalog, self.PROFILE, line_no=line_no, report=line_report)
+            assert events[line_no - 1] == expected
+        assert memo_report.timestamp_errors == line_report.timestamp_errors
+        assert [n for n, _ in memo_report.timestamp_errors] == [4, 5, 7, 8]
+
+        for event, stamp in zip(events, self.STAMPS):
+            try:
+                value = parse_timestamp_text(stamp, self.PROFILE)
+            except ValueError:
+                value = None
+            assert event.timestamp == value
+
+
+class TestLineParserChecksProfile:
+    @pytest.mark.parametrize(
+        "field, pattern, message",
+        [
+            ("seq_id_pattern", "blk_(", "seq_id_pattern"),
+            ("timestamp_pattern", r"^(\d+", "timestamp_pattern"),
+            ("seq_id_pattern", r"(blk)_(\d+)", "at most one capture group"),
+        ],
+    )
+    def test_bad_pattern_raises_profile_error_when_built(self, field, pattern, message):
+        kwargs = {field: pattern}
+        if field == "timestamp_pattern":
+            kwargs["timestamp_format"] = "epoch"
+        profile = DatasetProfile(name="bad", label_source="sequence-file", **kwargs)
+        with pytest.raises(ProfileError, match=message):
+            LineParser(make_catalog((1, "x <*>")), profile)
+
+    def test_bad_timezone_and_anomaly_dir_pattern(self, tmp_path):
+        with pytest.raises(ProfileError, match="timezone"):
+            DatasetProfile(name="bad", label_source="sequence-file", timezone="CET")
+        profile = DatasetProfile(name="bad", label_source="file-dir", anomaly_dir_pattern="Attack_(")
+        with pytest.raises(ProfileError, match="anomaly_dir_pattern"):
+            dir_label_map(tmp_path, profile)
+
+    def test_non_integer_profile_value_names_the_line(self, tmp_path):
+        f = tmp_path / "bad.profile"
+        f.write_text("name = x\nlabel_source = sequence-file\npreamble_tokens = five\n")
+        with pytest.raises(ProfileError, match=rf"{f}:3: preamble_tokens"):
+            load_profile(f)
 
 
 class TestParseFile:
