@@ -15,7 +15,7 @@ import os
 import sys
 import tempfile
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
@@ -176,11 +176,8 @@ def cmd_parse(args: argparse.Namespace) -> int:
     report = IngestReport()
     out = Path(args.out)
 
-    unmatched_handle = None
-    try:
-        if args.unmatched_out:
-            Path(args.unmatched_out).parent.mkdir(parents=True, exist_ok=True)
-            unmatched_handle = open(args.unmatched_out, "w", encoding="utf-8")
+    unmatched = atomic_write(Path(args.unmatched_out)) if args.unmatched_out else nullcontext()
+    with unmatched as unmatched_handle:
         if source.is_dir():
             events = parse_tree(
                 source, catalog, profile, report=report, unmatched_sink=unmatched_handle
@@ -191,9 +188,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
             )
         with atomic_write(out) as handle:
             rows = write_events(events, handle, keep_unidentified=args.keep_unidentified)
-    finally:
-        if unmatched_handle is not None:
-            unmatched_handle.close()
 
     if source.is_dir() and profile.label_source == "file-dir":
         labels = dir_label_map(source, profile)
@@ -362,9 +356,9 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_for_eval(args: argparse.Namespace):
-    source = resolve_input(args.input)
-    if args.granularity == "event":
+def _load_for_eval(path: str, granularity: str):
+    source = resolve_input(path)
+    if granularity == "event":
         greport = GroupingReport()
         seqs = group_by_identifier(read_events(source), report=greport)
         for seq in seqs:
@@ -384,7 +378,9 @@ def _study(args: argparse.Namespace, seqs, config: EvalConfig, **options):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
-    source, seqs = _load_for_eval(args)
+    if args.granularity == "event" and args.dump_scores:
+        raise ValidationError("--dump-scores is not supported with --granularity event")
+    source, seqs = _load_for_eval(args.input, args.granularity)
     manifest = Manifest(args, [source])
     config = EvalConfig(
         train_fraction=args.train_frac,
@@ -420,7 +416,7 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """The per-threshold curves of the study's run 0: `eval --runs 1` without the summaries."""
-    source, seqs = _load_for_eval(args)
+    source, seqs = _load_for_eval(args.input, "sequence")
     manifest = Manifest(args, [source])
     config = EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
     report = _study(args, seqs, config, jobs=1)
@@ -541,12 +537,11 @@ def build_parser() -> argparse.ArgumentParser:
     )
     e.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel run workers")
     e.add_argument("--out-dir", required=True, help="directory for results.csv and summary.csv")
-    e.add_argument("--dump-scores", action="store_true", help="dump run 0 scores per detector")
+    e.add_argument("--dump-scores", action="store_true", help="dump run 0 scores (sequence granularity)")
     e.set_defaults(func=cmd_eval)
 
     w = sub.add_parser("sweep", parents=[study], help="full threshold sweep curves from a single run")
     w.add_argument("--detectors", default="ecvc,ngram2,edit", help="comma-separated detector names")
-    w.add_argument("--granularity", default="sequence", choices=["sequence"], help=argparse.SUPPRESS)
     w.add_argument("--out-dir", required=True, help="directory for sweep.csv")
     w.set_defaults(func=cmd_sweep)
 

@@ -22,7 +22,7 @@ from collections import Counter
 from typing import Iterable, Sequence as PySequence
 
 from .errors import DetectorNotApplicable, ValidationError
-from .sequencing import Sequence, count_vector_key, to_count_vector
+from .sequencing import Sequence, count_vector_key, pair_deltas, to_count_vector
 
 #: Reserved boundary symbol used to pad sequences shorter than the n-gram
 #: window; real event ids are positive integers.
@@ -398,19 +398,11 @@ class EventTimingDetector(Detector):
         self.negative_deltas = 0
 
     def _pair_deltas(self, seq: Sequence):
-        ts = seq.timestamps
-        if ts is None:
-            return
-        events = seq.events
-        for i in range(len(events) - 1):
-            t0, t1 = ts[i], ts[i + 1]
-            if t0 is None or t1 is None:
-                continue
-            dt = t1 - t0
+        for pair, dt in pair_deltas(seq):
             if dt < 0:
                 self.negative_deltas += 1
                 dt = 0.0
-            yield (events[i], events[i + 1]), dt
+            yield pair, dt
 
     def fit(self, train):
         _require_training(train)

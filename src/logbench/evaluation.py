@@ -1,10 +1,15 @@
 """Semi-supervised evaluation protocol: repeated sampling, threshold sweeps, metrics.
 
 Training data is sampled from the normal class only; the test set is the
-remaining normals plus all anomalies. Each distinct base detector is
-fitted once per run and scores the test set once, giving one score column
-per base. Every requested row reads those columns: an OR-combination such
-as `event+length+ecvc` is the element-wise maximum of its members' columns,
+remaining normals plus all anomalies. A run scores units: test sequences
+at sequence granularity, or the events of the test sequences, against
+their own labels, at event granularity. Both kinds share one loop from a
+run's split to its rows, one confusion count and one report assembly.
+
+At sequence granularity, each distinct base detector is fitted once per
+run and scores the test set once, giving one score column per base.
+Every requested row reads those columns: an OR-combination such as
+`event+length+ecvc` is the element-wise maximum of its members' columns,
 and is not applicable when any member is. Confusion counts at every grid
 threshold, the score dump and the sweep curves all derive from a row's
 column. Metrics with a zero denominator are reported as undefined
@@ -202,7 +207,7 @@ def _best_result(results: list[EvalResult]) -> EvalResult | None:
 def evaluate_run(
     detector: str,
     thresholded: bool,
-    test: list[Sequence],
+    anomalous: list[bool],
     scores: list[float],
     threshold_grid: PySequence[float] = THRESHOLD_GRID,
     *,
@@ -211,12 +216,13 @@ def evaluate_run(
 ) -> RunOutcome:
     """Derive metrics at every grid threshold from one row's score column.
 
-    `scores[i]` is the score of `test[i]`. A threshold-free row gets one
-    result at the 0/1 flag cutoff instead of the grid.
+    `scores[i]` is the score of a unit whose class is `anomalous[i]`. A
+    threshold-free row gets one result at the 0/1 flag cutoff instead of
+    the grid.
     """
     outcome = RunOutcome(run=run, detector=detector, train_size=train_size)
-    anom = sorted(s for s, seq in zip(scores, test) if seq.label.anomalous)
-    norm = sorted(s for s, seq in zip(scores, test) if not seq.label.anomalous)
+    anom = sorted(s for s, a in zip(scores, anomalous) if a)
+    norm = sorted(s for s, a in zip(scores, anomalous) if not a)
     if thresholded:
         for t in threshold_grid:
             counts = _counts_at(anom, norm, t)
@@ -256,6 +262,18 @@ def _evaluate_one_run(
     run_index: int,
 ) -> tuple[list[RunOutcome], ScoreDump]:
     train, test = split(seqs, config, run_index)
+    if config.granularity == "event":
+        known = NewEventTypeDetector().fit(train).known_events
+        anomalous, scores = [], []
+        for seq in test:
+            for event, label in zip(seq.events, seq.event_labels):
+                anomalous.append(label.anomalous)
+                scores.append(1.0 if event not in known else 0.0)
+        outcome = evaluate_run(
+            "event", False, anomalous, scores, config.threshold_grid, run=run_index, train_size=len(train)
+        )
+        return [outcome], {}
+    anomalous = [seq.label.anomalous for seq in test]
     columns: dict[str, list[float] | None] = {}
     outcomes = []
     dumps: ScoreDump = {}
@@ -272,15 +290,15 @@ def _evaluate_one_run(
         scores = [max(values) for values in zip(*member_columns)]
         thresholded = any(member.thresholded for member in members)
         outcome = evaluate_run(
-            name, thresholded, test, scores, config.threshold_grid, run=run_index, train_size=len(train)
+            name, thresholded, anomalous, scores, config.threshold_grid, run=run_index, train_size=len(train)
         )
         outcomes.append(outcome)
         if dump_run0_scores and run_index == 0:
             best = outcome.best
             cutoff = best.threshold if best is not None and best.threshold is not None else FLAG_CUTOFF
             dumps[name] = [
-                (seq.seq_id, score, score > cutoff, "anomalous" if seq.label.anomalous else "normal")
-                for seq, score in zip(test, scores)
+                (seq.seq_id, score, score > cutoff, "anomalous" if a else "normal")
+                for seq, score, a in zip(test, scores, anomalous)
             ]
     return outcomes, dumps
 
@@ -344,9 +362,16 @@ def evaluate_study(
     Each spec is a base detector name or a `+`-joined OR-combination of
     them. Runs are independent (per-run seed stream) and may execute in
     parallel; results are identical regardless of the worker count.
+
+    At event granularity every sequence must carry per-event labels, and
+    the study evaluates only the threshold-free `event` row (an event is
+    flagged iff its type is unseen in the run's training sequences),
+    whatever `detector_specs` holds; it writes no score dump.
     """
-    if config.granularity == "event":
-        return evaluate_events(seqs, config)
+    if config.granularity == "event" and any(s.event_labels is None for s in seqs):
+        raise EvalDataError(
+            "event-granularity evaluation requires per-event labels on every sequence"
+        )
     args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
     runs = range(config.repetitions)
     if jobs > 1 and len(runs) > 1:
@@ -371,7 +396,7 @@ def evaluate_study(
         warnings.extend(_degeneracy_warnings(detector, detector_outcomes))
     train_sizes = sorted({o.train_size for o in outcomes})
     return StudyReport(
-        granularity="sequence",
+        granularity=config.granularity,
         outcomes=outcomes,
         summaries=summaries,
         warnings=warnings,
@@ -380,55 +405,16 @@ def evaluate_study(
     )
 
 
-def evaluate_events(seqs: list[Sequence], config: EvalConfig) -> StudyReport:
-    """Event-granularity evaluation of new-event detection.
-
-    Training event types come from sampled normal sequences; every test
-    event is classified anomalous iff its type is unknown, and confusion
-    counts run over events against their own labels.
-    """
-    if any(s.event_labels is None for s in seqs):
-        raise EvalDataError(
-            "event-granularity evaluation requires per-event labels on every sequence"
-        )
-    outcomes = []
-    for r in range(config.repetitions):
-        train, test = split(seqs, config, r)
-        known = NewEventTypeDetector().fit(train).known_events
-        tp = fp = tn = fn = 0
-        for seq in test:
-            for event, label in zip(seq.events, seq.event_labels):
-                flagged = event not in known
-                if label.anomalous:
-                    tp += flagged
-                    fn += not flagged
-                else:
-                    fp += flagged
-                    tn += not flagged
-        counts = ConfusionCounts(tp, fp, tn, fn)
-        result = EvalResult(r, "event", None, counts, metrics_from_counts(counts))
-        outcomes.append(
-            RunOutcome(
-                r,
-                "event",
-                len(train),
-                results=[result],
-                best=result if result.metrics.f1 is not None else None,
-            )
-        )
-    summaries = [_summarize_detector("event", outcomes)]
-    warnings = _degeneracy_warnings("event", outcomes)
-    return StudyReport(
-        granularity="event",
-        outcomes=outcomes,
-        summaries=summaries,
-        warnings=warnings,
-        train_sizes=sorted({o.train_size for o in outcomes}),
-    )
+def _fmt(value: float | None) -> str:
+    return "NA" if value is None else f"{value:.6f}"
 
 
-def _fmt(value: float | None, spec: str = "{:.6f}") -> str:
-    return "NA" if value is None else spec.format(value)
+def _threshold_cell(threshold: float | None) -> str:
+    return "NA" if threshold is None else f"{threshold:.2f}"
+
+
+def _metric_cells(metrics: Metrics) -> tuple[str, str, str, str]:
+    return _fmt(metrics.precision), _fmt(metrics.recall), _fmt(metrics.tnr), _fmt(metrics.f1)
 
 
 RESULTS_HEADER = (
@@ -450,20 +436,10 @@ def write_results_csv(report: StudyReport, handle: TextIO) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(RESULTS_HEADER)
     for res in report.results():
+        c = res.counts
         writer.writerow(
-            (
-                res.run,
-                res.detector,
-                "NA" if res.threshold is None else f"{res.threshold:.2f}",
-                res.counts.tp,
-                res.counts.fp,
-                res.counts.tn,
-                res.counts.fn,
-                _fmt(res.metrics.precision),
-                _fmt(res.metrics.recall),
-                _fmt(res.metrics.tnr),
-                _fmt(res.metrics.f1),
-            )
+            (res.run, res.detector, _threshold_cell(res.threshold), c.tp, c.fp, c.tn, c.fn)
+            + _metric_cells(res.metrics)
         )
 
 
@@ -483,15 +459,7 @@ def write_bests_csv(report: StudyReport, handle: TextIO) -> None:
             continue
         best = outcome.best
         writer.writerow(
-            (
-                outcome.run,
-                outcome.detector,
-                "NA" if best.threshold is None else f"{best.threshold:.2f}",
-                _fmt(best.metrics.precision),
-                _fmt(best.metrics.recall),
-                _fmt(best.metrics.tnr),
-                _fmt(best.metrics.f1),
-            )
+            (outcome.run, outcome.detector, _threshold_cell(best.threshold)) + _metric_cells(best.metrics)
         )
 
 
@@ -499,16 +467,7 @@ def write_sweep_csv(results: Iterable[EvalResult], handle: TextIO) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(("detector", "threshold", "precision", "recall", "tnr", "f1"))
     for res in results:
-        writer.writerow(
-            (
-                res.detector,
-                "NA" if res.threshold is None else f"{res.threshold:.2f}",
-                _fmt(res.metrics.precision),
-                _fmt(res.metrics.recall),
-                _fmt(res.metrics.tnr),
-                _fmt(res.metrics.f1),
-            )
-        )
+        writer.writerow((res.detector, _threshold_cell(res.threshold)) + _metric_cells(res.metrics))
 
 
 def write_scores_csv(dump: ScoreDump, handle: TextIO) -> None:

@@ -24,7 +24,7 @@ import csv
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
@@ -257,21 +257,7 @@ class DatasetProfile:
 
 _PROFILE_INT_KEYS = {"preamble_tokens", "seq_id_token", "base_year", "label_token"}
 _PROFILE_BOOL_KEYS = {"tokenized"}
-_PROFILE_KEYS = {
-    "name",
-    "label_source",
-    "preamble_tokens",
-    "seq_id_pattern",
-    "seq_id_token",
-    "timestamp_pattern",
-    "timestamp_format",
-    "timezone",
-    "base_year",
-    "label_token",
-    "normal_marker",
-    "tokenized",
-    "anomaly_dir_pattern",
-}
+_PROFILE_KEYS = {f.name for f in fields(DatasetProfile)}
 
 
 def load_profile_file(path: str | Path) -> DatasetProfile:

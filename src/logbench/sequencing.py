@@ -100,6 +100,18 @@ def dedupe_replicated(events: Iterable[ParsedEvent]) -> Iterator[ParsedEvent]:
             yield ev
 
 
+def pair_deltas(seq: Sequence) -> Iterator[tuple[tuple[int, int], float]]:
+    """Each (event, next event) pair whose two timestamps are known, with its time delta."""
+    ts = seq.timestamps
+    if ts is None:
+        return
+    events = seq.events
+    for i in range(len(events) - 1):
+        t0, t1 = ts[i], ts[i + 1]
+        if t0 is not None and t1 is not None:
+            yield (events[i], events[i + 1]), t1 - t0
+
+
 def group_by_window(
     events: Iterable[ParsedEvent], window_size: int, step: int
 ) -> list[Sequence]:

@@ -13,7 +13,7 @@ from typing import Iterable
 
 from .errors import ValidationError
 from .ingest import IngestReport
-from .sequencing import Sequence, count_vector_key, to_count_vector
+from .sequencing import Sequence, count_vector_key, pair_deltas, to_count_vector
 
 
 @dataclass(frozen=True)
@@ -241,16 +241,6 @@ def five_number(xs: Iterable[float]) -> FiveNumber | None:
     )
 
 
-def _deltas(seq: Sequence):
-    if seq.timestamps is None:
-        return
-    for i in range(len(seq.events) - 1):
-        t0, t1 = seq.timestamps[i], seq.timestamps[i + 1]
-        if t0 is None or t1 is None:
-            continue
-        yield (seq.events[i], seq.events[i + 1]), t1 - t0
-
-
 def interarrival_dist(
     seqs: list[Sequence], *, by_pair: bool = False
 ) -> dict[str, FiveNumber | dict[tuple[int, int], FiveNumber]]:
@@ -264,7 +254,7 @@ def interarrival_dist(
         pools: dict[str, dict[tuple[int, int], list[float]]] = {"normal": {}, "anomalous": {}}
         for s in seqs:
             cls = "anomalous" if s.label.anomalous else "normal"
-            for pair, dt in _deltas(s):
+            for pair, dt in pair_deltas(s):
                 pools[cls].setdefault(pair, []).append(dt)
         return {
             cls: {pair: five_number(xs) for pair, xs in sorted(pool.items())}
@@ -274,5 +264,5 @@ def interarrival_dist(
     flat: dict[str, list[float]] = {"normal": [], "anomalous": []}
     for s in seqs:
         cls = "anomalous" if s.label.anomalous else "normal"
-        flat[cls].extend(dt for _, dt in _deltas(s))
+        flat[cls].extend(dt for _, dt in pair_deltas(s))
     return {cls: five_number(xs) for cls, xs in flat.items() if xs}

@@ -8,6 +8,14 @@ from pathlib import Path
 import pytest
 
 from logbench.cli import build_parser, main
+from logbench.fixtures import event_labeled_corpus
+from logbench.ingest import (
+    ParsedEvent,
+    bundled_profile_names,
+    load_profile,
+    load_profile_file,
+    write_events,
+)
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
 
@@ -38,6 +46,21 @@ def sequence_store(tmp_path, parsed_events, synthetic_labels_path):
     return out
 
 
+@pytest.fixture()
+def event_store(tmp_path):
+    """Parsed events with per-event labels, as read by `eval --granularity event`."""
+    events = []
+    line_no = 0
+    for seq in event_labeled_corpus(n_normal=25, n_anomalous=5):
+        for event, ts, label in zip(seq.events, seq.timestamps, seq.event_labels):
+            line_no += 1
+            events.append(ParsedEvent(line_no, event, ts, (seq.seq_id,), label))
+    events_path = tmp_path / "events.tsv"
+    with open(events_path, "w", newline="") as handle:
+        write_events(events, handle)
+    return events_path
+
+
 class TestParseCommand:
     def test_outputs_and_manifest(self, tmp_path, parsed_events):
         assert parsed_events.exists()
@@ -60,6 +83,24 @@ class TestParseCommand:
             "--unmatched-out", side,
         )
         assert code == 0
+        assert "sweep cycle" in side.read_text()
+
+    def test_failed_parse_leaves_no_unmatched_side_file(self, tmp_path, synthetic_log_path):
+        bad = tmp_path / "bad.profile"
+        bad.write_text("name = x\nlabel_source = sequence-file\nseq_id_pattern = blk_(\n")
+        side = tmp_path / "unmatched.log"
+        for profile, expected in ((bad, 2), ("synthetic", 0)):
+            code = run(
+                "parse",
+                "--profile", profile,
+                "--templates", DATA / "synthetic.templates",
+                "--input", synthetic_log_path,
+                "--out", tmp_path / "ev.tsv",
+                "--unmatched-out", side,
+            )
+            assert code == expected
+            assert side.exists() == (expected == 0)
+            assert not list(tmp_path.glob("*.tmp"))
         assert "sweep cycle" in side.read_text()
 
     def test_missing_input_fails(self, tmp_path):
@@ -270,23 +311,11 @@ class TestEvalCommand:
         assert lines[0] == "seq_id,detector,score,flag,label"
         assert len(lines) > 100
 
-    def test_event_granularity(self, tmp_path):
-        from logbench.fixtures import event_labeled_corpus
-        from logbench.ingest import ParsedEvent, write_events
-
-        events = []
-        line_no = 0
-        for seq in event_labeled_corpus(n_normal=25, n_anomalous=5):
-            for event, ts, label in zip(seq.events, seq.timestamps, seq.event_labels):
-                line_no += 1
-                events.append(ParsedEvent(line_no, event, ts, (seq.seq_id,), label))
-        events_path = tmp_path / "events.tsv"
-        with open(events_path, "w", newline="") as handle:
-            write_events(events, handle)
+    def test_event_granularity(self, tmp_path, event_store):
         out_dir = tmp_path / "ev"
         code = run(
             "eval",
-            "--input", events_path,
+            "--input", event_store,
             "--granularity", "event",
             "--train-frac", "0.2",
             "--runs", "2",
@@ -295,6 +324,39 @@ class TestEvalCommand:
         )
         assert code == 0
         assert "event" in (out_dir / "summary.csv").read_text()
+
+
+    def test_event_granularity_identical_for_every_jobs_value(self, tmp_path, event_store):
+        outputs = []
+        for jobs in ("1", "2"):
+            out_dir = tmp_path / f"jobs{jobs}"
+            code = run(
+                "eval",
+                "--input", event_store,
+                "--granularity", "event",
+                "--train-frac", "0.2",
+                "--runs", "4",
+                "--jobs", jobs,
+                "--out-dir", out_dir,
+            )
+            assert code == 0
+            outputs.append([(out_dir / name).read_bytes() for name in ("results.csv", "summary.csv", "bests.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_event_granularity_refuses_score_dump(self, tmp_path, event_store, capsys):
+        out_dir = tmp_path / "ev"
+        code = run(
+            "eval",
+            "--input", event_store,
+            "--granularity", "event",
+            "--runs", "1",
+            "--jobs", "1",
+            "--out-dir", out_dir,
+            "--dump-scores",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: --dump-scores")
+        assert not out_dir.exists()
 
 
 class TestSweepCommand:
@@ -340,6 +402,13 @@ class TestProfilesCommand:
         assert run("profiles", "show", "hdfs") == 0
         out = capsys.readouterr().out
         assert "label_source = sequence-file" in out
+
+    @pytest.mark.parametrize("name", bundled_profile_names())
+    def test_show_output_loads_as_the_same_profile(self, tmp_path, capsys, name):
+        assert run("profiles", "show", name) == 0
+        path = tmp_path / f"{name}.profile"
+        path.write_text(capsys.readouterr().out)
+        assert load_profile_file(path) == load_profile(name)
 
 
 class TestHelpEnumeratesFlags:

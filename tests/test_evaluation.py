@@ -16,7 +16,6 @@ from logbench.evaluation import (
     FLAG_CUTOFF,
     Metrics,
     THRESHOLD_GRID,
-    evaluate_events,
     evaluate_run,
     evaluate_study,
     metrics_from_counts,
@@ -62,9 +61,8 @@ class FixedScoreDetector(Detector):
 def run_detector(train, test, det):
     """One study row by hand: fit, score the test set once, sweep the column."""
     det.fit(train)
-    return evaluate_run(
-        det.name, det.thresholded, test, det.score_batch(test), train_size=len(train)
-    )
+    anomalous = [s.label.anomalous for s in test]
+    return evaluate_run(det.name, det.thresholded, anomalous, det.score_batch(test), train_size=len(train))
 
 
 def tiny_dataset(n_normal=10, n_anom=4):
@@ -418,7 +416,7 @@ class TestEvaluateEvents:
     def test_disjoint_anomalous_types_full_recall(self):
         seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
         config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=2)
-        report = evaluate_events(seqs, config)
+        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
         assert report.granularity == "event"
         for outcome in report.outcomes:
             assert outcome.best.metrics.recall == pytest.approx(1.0)
@@ -426,7 +424,7 @@ class TestEvaluateEvents:
     def test_full_training_coverage_no_false_positives(self):
         seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
         config = EvalConfig(train_fraction=0.5, repetitions=2, rng_seed=2)
-        report = evaluate_events(seqs, config)
+        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
         for outcome in report.outcomes:
             assert outcome.results[0].counts.fp == 0
             assert outcome.best.metrics.tnr == pytest.approx(1.0)
@@ -435,14 +433,14 @@ class TestEvaluateEvents:
         seqs = event_labeled_corpus(n_normal=10, n_anomalous=3)
         config = EvalConfig(train_fraction=0.3, repetitions=1, rng_seed=0)
         train, test = split(seqs, config, 0)
-        report = evaluate_events(seqs, config)
+        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
         total_events = sum(len(s) for s in test)
         assert report.outcomes[0].results[0].counts.total == total_events
 
     def test_counts_flag_event_types_unseen_in_training(self):
         seqs = event_labeled_corpus(n_normal=30, n_anomalous=8)
         config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=4)
-        report = evaluate_events(seqs, config)
+        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
         for r, outcome in enumerate(report.outcomes):
             train, test = split(seqs, config, r)
             known = {e for seq in train for e in seq.events}
@@ -453,7 +451,9 @@ class TestEvaluateEvents:
 
     def test_refused_without_event_labels(self):
         with pytest.raises(EvalDataError, match="per-event labels"):
-            evaluate_events(tiny_dataset(), EvalConfig(train_fraction=0.2))
+            evaluate_study(
+                tiny_dataset(), replace(EvalConfig(train_fraction=0.2), granularity="event"), ["event"]
+            )
 
     def test_granularity_dispatch(self):
         seqs = event_labeled_corpus(n_normal=30, n_anomalous=5)

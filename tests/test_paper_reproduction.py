@@ -24,7 +24,7 @@ from pathlib import Path
 import pytest
 
 from logbench.detectors import STUDY_DETECTORS
-from logbench.evaluation import EvalConfig, evaluate_events, evaluate_study
+from logbench.evaluation import EvalConfig, evaluate_study
 from logbench.ingest import (
     IngestReport,
     dir_label_map,
@@ -143,8 +143,8 @@ def test_criterion_8_bgl_event_detector():
 
 def test_criterion_8_bgl_event_granularity_tnr():
     seqs = _bgl_sequences()
-    config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1)
-    report = evaluate_events(seqs, config)
+    config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1, granularity="event")
+    report = evaluate_study(seqs, config, ["event"], jobs=os.cpu_count() or 1)
     tnrs = [o.best.metrics.tnr for o in report.outcomes if o.best is not None]
     assert sum(tnrs) / len(tnrs) >= 0.998
 
