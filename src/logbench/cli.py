@@ -378,6 +378,8 @@ def _study(args: argparse.Namespace, seqs, config: EvalConfig, **options):
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    if args.detectors is None:
+        args.detectors = "event" if args.granularity == "event" else ",".join(STUDY_DETECTORS)
     if args.granularity == "event" and args.dump_scores:
         raise ValidationError("--dump-scores is not supported with --granularity event")
     source, seqs = _load_for_eval(args.input, args.granularity)
@@ -527,9 +529,9 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", parents=[study], help="repeated semi-supervised evaluation study")
     e.add_argument(
         "--detectors",
-        default=",".join(STUDY_DETECTORS),
         help="comma-separated detector names; + joins OR-combinations "
-        "(event, length, ecvc, ecvc-idf, ngram2, ngram3, ngram10, edit, timing)",
+        "(event, length, ecvc, ecvc-idf, ngram2, ngram3, ngram10, edit, timing); "
+        "default: the study's 14 rows, or only `event` at event granularity",
     )
     e.add_argument("--runs", type=int, default=25, help="independent sampling repetitions")
     e.add_argument(

@@ -53,40 +53,52 @@ STUDY_DETECTORS = (
 def levenshtein(a: PySequence, b: PySequence, *, cutoff: int | None = None) -> int:
     """Edit distance (insert/delete/replace) between two event sequences.
 
-    With a cutoff, returns cutoff + 1 as soon as the distance provably
-    exceeds it; otherwise the exact distance.
+    Returns the exact distance, or cutoff + 1 as soon as the distance
+    provably exceeds `cutoff`. Computed with the bit-parallel algorithm of
+    Myers (JACM 1999) in Hyyrö's formulation for edit distance (2001,
+    2003): the shorter sequence is the pattern, and one column of the DP
+    matrix is held as vertical +1/-1 delta bit vectors of its length,
+    so each event of the longer sequence costs a fixed number of
+    big-integer operations. `score` follows the last matrix row; as it
+    falls by at most one per remaining column, the scan stops once
+    `score - remaining > cutoff`.
     """
     m, n = len(a), len(b)
-    if m < n:
+    if m > n:
         a, b, m, n = b, a, n, m
-    if cutoff is not None and m - n > cutoff:
+    if cutoff is None:
+        cutoff = n  # the distance never exceeds the longer length
+    elif n - m > cutoff:
         return cutoff + 1
-    if n == 0:
-        return m
-    prev = list(range(n + 1))
-    for i in range(1, m + 1):
-        ai = a[i - 1]
-        cur = [i]
-        append = cur.append
-        best = i
-        for j in range(1, n + 1):
-            c = prev[j - 1] + (ai != b[j - 1])
-            up = prev[j] + 1
-            if up < c:
-                c = up
-            left = cur[j - 1] + 1
-            if left < c:
-                c = left
-            append(c)
-            if c < best:
-                best = c
-        if cutoff is not None and best > cutoff:
+    if m == 0:
+        return n
+    peq: dict = {}
+    bit = 1
+    for event in a:
+        peq[event] = peq.get(event, 0) | bit
+        bit <<= 1
+    full = bit - 1  # the m pattern bits
+    high = bit >> 1  # the last pattern row
+    vp, vn, score = full, 0, m
+    bound = cutoff + n  # score - (n - j) > cutoff  <=>  score + j > bound
+    get = peq.get
+    for j, event in enumerate(b, 1):
+        x = get(event, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & full
+        hp = vn | (full ^ (d0 | vp))
+        hn = d0 & vp
+        if hp & high:
+            score += 1
+            if score + j > bound:
+                return cutoff + 1
+        elif hn & high:
+            score -= 1  # score + j is unchanged: no new exit
+        elif score + j > bound:
             return cutoff + 1
-        prev = cur
-    d = prev[n]
-    if cutoff is not None and d > cutoff:
-        return cutoff + 1
-    return d
+        hp = (hp << 1) | 1  # the top row grows by one per column
+        vp = ((hn << 1) | (full ^ (d0 | hp))) & full
+        vn = hp & d0
+    return score  # the exits keep score + n <= bound, so score <= cutoff
 
 
 def _require_training(train: list[Sequence]) -> None:
@@ -287,12 +299,16 @@ class NGramDetector(Detector):
         return miss, len(wins)
 
     def score(self, seq):
-        miss, total = self.mismatches(seq)
-        return miss / total if total else 0.0
+        """The score of `seq` as a batch of one: under global-max, 1.0 iff any window misses."""
+        return self.score_batch([seq])[0]
 
     def score_batch(self, seqs):
         if self.normalization == "per-sequence":
-            return [self.score(s) for s in seqs]
+            rates = []
+            for s in seqs:
+                miss, total = self.mismatches(s)
+                rates.append(miss / total if total else 0.0)
+            return rates
         counts = [self.mismatches(s)[0] for s in seqs]
         peak = max(counts, default=0)
         if peak == 0:
@@ -307,6 +323,9 @@ class EditDistanceDetector(Detector):
     length-difference lower bound |len(a) - len(b)| / max(len(a), len(b)),
     pruning everything that cannot beat the current best; results are
     exact. Normalization is per sequence: distance / max length of the pair.
+    Each pair goes through the bit-parallel `levenshtein` with the cutoff
+    int(best * max length): a candidate whose distance exceeds it cannot
+    lower the score, so the kernel may stop early and return cutoff + 1.
     """
 
     name = "edit"

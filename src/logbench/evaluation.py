@@ -364,14 +364,21 @@ def evaluate_study(
     parallel; results are identical regardless of the worker count.
 
     At event granularity every sequence must carry per-event labels, and
-    the study evaluates only the threshold-free `event` row (an event is
-    flagged iff its type is unseen in the run's training sequences),
-    whatever `detector_specs` holds; it writes no score dump.
+    `detector_specs` must name only the threshold-free `event` row (an
+    event is flagged iff its type is unseen in the run's training
+    sequences); it writes no score dump.
     """
-    if config.granularity == "event" and any(s.event_labels is None for s in seqs):
-        raise EvalDataError(
-            "event-granularity evaluation requires per-event labels on every sequence"
-        )
+    if config.granularity == "event":
+        others = [spec for spec in detector_specs if spec.strip().lower() != "event"]
+        if others:
+            raise ValidationError(
+                "event-granularity evaluation scores only the 'event' detector, not: "
+                + ", ".join(others)
+            )
+        if any(s.event_labels is None for s in seqs):
+            raise EvalDataError(
+                "event-granularity evaluation requires per-event labels on every sequence"
+            )
     args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
     runs = range(config.repetitions)
     if jobs > 1 and len(runs) > 1:

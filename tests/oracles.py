@@ -1,10 +1,10 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These deliberately use different mechanics than the production code
-(plain recursion, substring sets, naive enumeration) and must stay free
-of imports from the optimized paths they verify. The combination oracle
-builds single base detectors with `make_detector`; the per-run scoring
-it verifies lives in `logbench.evaluation`.
+(plain recursion, a row-by-row DP, substring sets, naive enumeration)
+and must stay free of imports from the optimized paths they verify. The
+combination oracle builds single base detectors with `make_detector`;
+the per-run scoring it verifies lives in `logbench.evaluation`.
 """
 
 from __future__ import annotations
@@ -37,6 +37,45 @@ def levenshtein_recursive(a, b) -> int:
         return result
 
     return go(len(a), len(b))
+
+
+def levenshtein_dp(a, b, cutoff=None) -> int:
+    """Row-by-row O(mn) edit distance; the reference for the cutoff contract.
+
+    With a cutoff, returns cutoff + 1 as soon as the distance provably
+    exceeds it; otherwise the exact distance.
+    """
+    m, n = len(a), len(b)
+    if m < n:
+        a, b, m, n = b, a, n, m
+    if cutoff is not None and m - n > cutoff:
+        return cutoff + 1
+    if n == 0:
+        return m
+    prev = list(range(n + 1))
+    for i in range(1, m + 1):
+        ai = a[i - 1]
+        cur = [i]
+        append = cur.append
+        best = i
+        for j in range(1, n + 1):
+            c = prev[j - 1] + (ai != b[j - 1])
+            up = prev[j] + 1
+            if up < c:
+                c = up
+            left = cur[j - 1] + 1
+            if left < c:
+                c = left
+            append(c)
+            if c < best:
+                best = c
+        if cutoff is not None and best > cutoff:
+            return cutoff + 1
+        prev = cur
+    d = prev[n]
+    if cutoff is not None and d > cutoff:
+        return cutoff + 1
+    return d
 
 
 def lz_phrases_naive(seqs, count_trailing: bool = False) -> list[tuple[int, int]]:

@@ -8,6 +8,7 @@ from pathlib import Path
 import pytest
 
 from logbench.cli import build_parser, main
+from logbench.detectors import STUDY_DETECTORS
 from logbench.fixtures import event_labeled_corpus
 from logbench.ingest import (
     ParsedEvent,
@@ -412,6 +413,58 @@ class TestProfilesCommand:
 
 
 class TestHelpEnumeratesFlags:
+    def test_event_granularity_refuses_other_detectors(self, tmp_path, event_store, capsys):
+        out_dir = tmp_path / "ev"
+        code = run(
+            "eval",
+            "--input", event_store,
+            "--granularity", "event",
+            "--detectors", "ecvc,edit",
+            "--runs", "1",
+            "--jobs", "1",
+            "--out-dir", out_dir,
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "ecvc, edit" in err
+        assert not out_dir.exists()
+
+    def test_event_granularity_defaults_to_the_event_row(self, tmp_path, event_store):
+        outputs = []
+        for detectors in ((), ("--detectors", "event")):
+            out_dir = tmp_path / f"ev{len(detectors)}"
+            code = run(
+                "eval",
+                "--input", event_store,
+                "--granularity", "event",
+                *detectors,
+                "--train-frac", "0.2",
+                "--runs", "2",
+                "--jobs", "1",
+                "--out-dir", out_dir,
+            )
+            assert code == 0
+            manifest = json.loads((out_dir / "manifest.json").read_text())
+            assert manifest["args"]["detectors"] == "event"
+            outputs.append([(out_dir / name).read_bytes() for name in ("results.csv", "summary.csv", "bests.csv")])
+        assert outputs[0] == outputs[1]
+
+    def test_sequence_granularity_defaults_to_the_study_rows(self, tmp_path, bundled_corpus_path):
+        out_dir = tmp_path / "eval"
+        code = run(
+            "eval",
+            "--input", bundled_corpus_path,
+            "--train-frac", "0.1",
+            "--runs", "1",
+            "--jobs", "1",
+            "--out-dir", out_dir,
+        )
+        assert code == 0
+        manifest = json.loads((out_dir / "manifest.json").read_text())
+        assert manifest["args"]["detectors"] == ",".join(STUDY_DETECTORS)
+        rows = [line.split(",")[0] for line in (out_dir / "summary.csv").read_text().splitlines()[1:]]
+        assert len(rows) == len(STUDY_DETECTORS)
+
     def test_every_spec_flag_is_documented(self):
         parser = build_parser()
         helps = [parser.format_help()]

@@ -4,8 +4,9 @@ import math
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
+from logbench import detectors
 from logbench.detectors import (
     CountVectorDetector,
     EditDistanceDetector,
@@ -22,7 +23,7 @@ from logbench.evaluation import THRESHOLD_GRID, EvalConfig, evaluate_study, spli
 from logbench.ingest import NORMAL, Label
 from logbench.sequencing import Sequence
 
-from oracles import ecvc_score_naive, levenshtein_recursive, ngram_mismatches_naive
+from oracles import ecvc_score_naive, levenshtein_dp, levenshtein_recursive, ngram_mismatches_naive
 
 
 def seq(events, ts=None, sid="s"):
@@ -192,6 +193,15 @@ class TestNGrams:
         det = NGramDetector(2).fit([seq([1, 2])])
         assert det.score_batch([seq([1, 2]), seq([1, 2])]) == [0.0, 0.0]
 
+    @pytest.mark.parametrize("normalization", ["per-sequence", "global-max"])
+    def test_score_is_a_batch_of_one(self, normalization):
+        det = NGramDetector(2, normalization=normalization).fit([seq([1, 2, 3])])
+        for events in ([1, 2, 3], [1, 2, 9], [9, 9, 9, 9], [1], []):
+            probe = seq(events)
+            assert det.score(probe) == det.score_batch([probe])[0]
+        want = 1.0 if normalization == "global-max" else 0.5
+        assert det.score(seq([1, 2, 9])) == want
+
     def test_mismatch_oracle_random(self):
         rng = random.Random(11)
         for _ in range(200):
@@ -264,6 +274,113 @@ class TestLevenshtein:
     )
     def test_matches_recursive_oracle(self, a, b):
         assert levenshtein(a, b) == levenshtein_recursive(tuple(a), tuple(b))
+
+
+def _mutated(rng, events, alphabet, edits):
+    """`events` after `edits` random replacements, insertions and deletions."""
+    out = list(events)
+    for _ in range(edits):
+        op = rng.randrange(3)
+        if op == 0 and out:
+            out[rng.randrange(len(out))] = rng.randint(1, alphabet)
+        elif op == 1:
+            out.insert(rng.randint(0, len(out)), rng.randint(1, alphabet))
+        elif out:
+            del out[rng.randrange(len(out))]
+    return out
+
+
+#: Pattern lengths on both sides of the 64- and 128-bit word boundaries.
+_WORD_EDGES = (0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 400)
+
+
+@st.composite
+def _kernel_case(draw):
+    """Two event sequences of length 0-400 over 1-40 event ids and a cutoff."""
+    alphabet = draw(st.integers(min_value=1, max_value=40))
+    event = st.integers(min_value=1, max_value=alphabet)
+    length = st.integers(min_value=0, max_value=400)
+    size = draw(length)
+    a = draw(st.lists(event, min_size=size, max_size=size))
+    if draw(st.booleans()):
+        size = draw(length)
+        b = draw(st.lists(event, min_size=size, max_size=size))
+    else:  # a few edits away, so cutoffs near the distance bind
+        rng = draw(st.randoms(use_true_random=False))
+        b = _mutated(rng, a, alphabet, draw(st.integers(min_value=0, max_value=12)))
+    top = max(len(a), len(b))
+    cutoff = draw(
+        st.one_of(
+            st.none(),
+            st.just(0),
+            st.integers(min_value=0, max_value=top + 2),
+            st.integers(min_value=top, max_value=top + 5),
+        )
+    )
+    return a, b, cutoff
+
+
+class TestLevenshteinKernel:
+    """The bit-parallel kernel against the O(mn) DP it replaced."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_kernel_case())
+    def test_matches_dp_oracle(self, case):
+        a, b, cutoff = case
+        want = levenshtein_dp(a, b, cutoff)
+        assert levenshtein(a, b, cutoff=cutoff) == want
+        assert levenshtein(b, a, cutoff=cutoff) == want
+
+    def test_word_boundary_lengths(self):
+        rng = random.Random(64)
+        for m in _WORD_EDGES:
+            for n in _WORD_EDGES:
+                alphabet = rng.choice((1, 2, 5, 40))
+                a = [rng.randint(1, alphabet) for _ in range(m)]
+                if m == n:
+                    b = _mutated(rng, a, alphabet, rng.randint(0, 6))
+                else:
+                    b = [rng.randint(1, alphabet) for _ in range(n)]
+                exact = levenshtein_dp(a, b)
+                for cutoff in (None, 0, exact - 1, exact, max(len(a), len(b)), rng.randint(0, 400)):
+                    if cutoff is not None and cutoff < 0:
+                        continue
+                    want = levenshtein_dp(a, b, cutoff)
+                    assert levenshtein(a, b, cutoff=cutoff) == want, (m, n, cutoff)
+                    assert levenshtein(b, a, cutoff=cutoff) == want, (m, n, cutoff)
+
+
+class TestEditKernelCalls:
+    def test_long_tailed_bank_matches_bruteforce(self):
+        rng = random.Random(1)
+        bank = []
+        for _ in range(24):
+            length = min(300, int(rng.paretovariate(0.8) * 8))
+            bank.append([rng.randint(1, 8) for _ in range(length)])
+        train = [seq(events) for events in bank]
+        det = EditDistanceDetector().fit(train)
+        probes = [_mutated(rng, rng.choice(bank), 9, rng.randint(1, 15)) for _ in range(12)]
+        probes += [[rng.randint(1, 9) for _ in range(rng.randint(0, 120))] for _ in range(4)]
+        for probe in probes:
+            brute = min(
+                levenshtein_dp(probe, events) / max(len(probe), len(events), 1) for events in bank
+            )
+            assert det.score(seq(probe)) == pytest.approx(min(brute, 1.0), abs=1e-12)
+
+    def test_score_calls_the_module_kernel(self, monkeypatch):
+        calls = []
+        kernel = detectors.levenshtein
+
+        def counted(a, b, *, cutoff=None):
+            calls.append(cutoff)
+            return kernel(a, b, cutoff=cutoff)
+
+        monkeypatch.setattr(detectors, "levenshtein", counted)
+        det = EditDistanceDetector().fit([seq([1, 2, 3, 4]), seq([1, 2, 5, 4]), seq([7] * 9)])
+        assert det.score(seq([1, 2, 6, 4])) == pytest.approx(0.25)
+        # both length-4 candidates, the first with the no-op cutoff int(1.0 * 4);
+        # the length-9 one is pruned by its length bound 5/9 >= 0.25
+        assert calls == [4, 1]
 
 
 class TestTiming:

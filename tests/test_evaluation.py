@@ -455,6 +455,14 @@ class TestEvaluateEvents:
                 tiny_dataset(), replace(EvalConfig(train_fraction=0.2), granularity="event"), ["event"]
             )
 
+    def test_refuses_rows_other_than_event(self):
+        seqs = event_labeled_corpus(n_normal=30, n_anomalous=5)
+        config = EvalConfig(train_fraction=0.2, repetitions=1, granularity="event")
+        with pytest.raises(ValidationError, match="not: ecvc, event\\+edit"):
+            evaluate_study(seqs, config, ["event", "ecvc", "event+edit"])
+        report = evaluate_study(seqs, config, [" Event "])
+        assert [s.detector for s in report.summaries] == ["event"]
+
     def test_granularity_dispatch(self):
         seqs = event_labeled_corpus(n_normal=30, n_anomalous=5)
         config = EvalConfig(train_fraction=0.2, repetitions=1, granularity="event")
