@@ -23,8 +23,10 @@ import hashlib
 import logging
 import random
 import statistics
+import time
 from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as PySequence, TextIO
 
@@ -311,8 +313,14 @@ def _init_worker(*args):
     _WORKER_ARGS = args
 
 
+def _timed_run(args: tuple, run_index: int) -> tuple[list[RunOutcome], ScoreDump, float]:
+    start = time.perf_counter()
+    outcomes, dumps = _evaluate_one_run(*args, run_index)
+    return outcomes, dumps, time.perf_counter() - start
+
+
 def _worker(run_index: int):
-    return _evaluate_one_run(*_WORKER_ARGS, run_index)
+    return _timed_run(_WORKER_ARGS, run_index)
 
 
 def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSummary:
@@ -361,7 +369,8 @@ def evaluate_study(
 
     Each spec is a base detector name or a `+`-joined OR-combination of
     them. Runs are independent (per-run seed stream) and may execute in
-    parallel; results are identical regardless of the worker count.
+    parallel; results are identical regardless of the worker count. Each
+    finished run logs one INFO line with its row count and wall seconds.
 
     At event granularity every sequence must carry per-event labels, and
     `detector_specs` must name only the threshold-free `event` row (an
@@ -381,18 +390,22 @@ def evaluate_study(
             )
     args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
     runs = range(config.repetitions)
-    if jobs > 1 and len(runs) > 1:
-        with ProcessPoolExecutor(
-            max_workers=min(jobs, len(runs)), initializer=_init_worker, initargs=args
-        ) as pool:
-            per_run = list(pool.map(_worker, runs))
-    else:
-        per_run = [_evaluate_one_run(*args, r) for r in runs]
     outcomes: list[RunOutcome] = []
     score_dump: ScoreDump = {}
-    for run_outcomes, dumps in per_run:
-        outcomes.extend(run_outcomes)
-        score_dump.update(dumps)
+    with ExitStack() as stack:
+        if jobs > 1 and len(runs) > 1:
+            pool = stack.enter_context(
+                ProcessPoolExecutor(max_workers=min(jobs, len(runs)), initializer=_init_worker, initargs=args)
+            )
+            per_run = pool.map(_worker, runs)
+        else:
+            per_run = (_timed_run(args, r) for r in runs)
+        for run_index, (run_outcomes, dumps, seconds) in zip(runs, per_run):
+            LOGGER.info(
+                "run %d/%d finished: %d rows in %.2f s", run_index + 1, len(runs), len(run_outcomes), seconds
+            )
+            outcomes.extend(run_outcomes)
+            score_dump.update(dumps)
     by_detector: dict[str, list[RunOutcome]] = {}
     for outcome in outcomes:
         by_detector.setdefault(outcome.detector, []).append(outcome)

@@ -118,9 +118,9 @@ def group_by_window(
     """Slide a fixed window over the global event stream.
 
     Windows start at multiples of `step`; all full windows are emitted,
-    followed by one trailing partial window when events remain beyond the
-    last full start. A window at least as large as the stream yields the
-    whole stream as a single sequence.
+    followed by the next start's partial window when it holds events no
+    full window covers. A stream no longer than the window thus yields
+    itself as the single sequence.
     """
     if window_size < 1:
         raise ValidationError("window_size must be >= 1")
@@ -128,19 +128,10 @@ def group_by_window(
         raise ValidationError("step must be >= 1")
     stream = list(events)
     n = len(stream)
-    if n == 0:
-        return []
-    starts: list[int]
-    if window_size >= n:
-        starts = [0]
-    else:
-        starts = []
-        s = 0
-        while s + window_size <= n:
-            starts.append(s)
-            s += step
-        if s < n:
-            starts.append(s)
+    starts = list(range(0, n - window_size + 1, step))
+    covered, tail = (starts[-1] + window_size, starts[-1] + step) if starts else (0, 0)
+    if max(covered, tail) < n:
+        starts.append(tail)
     out = []
     for s in starts:
         chunk = stream[s : s + window_size]

@@ -131,6 +131,22 @@ def ecvc_score_naive(cv, bank, weights=None, default_weight=1.0, norm="mass"):
     return best
 
 
+def ecvc_score_bruteforce(detector, cv):
+    """Minimum of the fitted detector's `distance` over its whole bank, from 1.0.
+
+    The pairwise loop `CountVectorDetector.score` ran before its postings
+    index; the indexed score must equal it to the bit.
+    """
+    best = 1.0
+    for bank_cv in detector.bank:
+        d = detector.distance(cv, bank_cv)
+        if d < best:
+            best = d
+            if best == 0.0:
+                break
+    return best
+
+
 def entropy_bits_naive(counts) -> float:
     """Shannon entropy via the algebraic form H = log2(T) - (1/T) sum c*log2(c)."""
     total = sum(counts)
@@ -169,6 +185,21 @@ def combination_scores_naive(spec, train, test, **knobs):
             if value > scores[i]:
                 scores[i] = value
     return scores
+
+
+def window_spans_naive(n, window, step):
+    """(start, end) of each window over n events, enumerating every step start.
+
+    A window starting at a multiple of `step` is kept when it is full, or
+    when it holds an index that no window kept before it covers.
+    """
+    spans, covered = [], set()
+    for start in range(0, n, step):
+        indexes = set(range(start, min(start + window, n)))
+        if start + window <= n or indexes - covered:
+            spans.append((start, min(start + window, n)))
+            covered |= indexes
+    return spans
 
 
 def catalog_match_naive(catalog, message):

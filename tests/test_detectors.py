@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import copy
 import math
 import random
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -23,7 +25,13 @@ from logbench.evaluation import THRESHOLD_GRID, EvalConfig, evaluate_study, spli
 from logbench.ingest import NORMAL, Label
 from logbench.sequencing import Sequence
 
-from oracles import ecvc_score_naive, levenshtein_dp, levenshtein_recursive, ngram_mismatches_naive
+from oracles import (
+    ecvc_score_bruteforce,
+    ecvc_score_naive,
+    levenshtein_dp,
+    levenshtein_recursive,
+    ngram_mismatches_naive,
+)
 
 
 def seq(events, ts=None, sid="s"):
@@ -122,27 +130,119 @@ class TestEcvc:
 
     def test_oracle_equivalence_random_banks(self):
         rng = random.Random(5)
-        for idf in (False, True):
+        for idf, norm in [(False, "mass"), (True, "mass"), (False, "len"), (True, "len")]:
             for _ in range(20):
                 train = [
                     seq([rng.randint(1, 6) for _ in range(rng.randint(1, 12))])
                     for _ in range(rng.randint(1, 50))
                 ]
-                det = CountVectorDetector(idf=idf).fit(train)
+                det = CountVectorDetector(idf=idf, norm=norm).fit(train)
                 probe = seq([rng.randint(1, 8) for _ in range(rng.randint(0, 12))])
-                from collections import Counter
-
                 expected = ecvc_score_naive(
                     Counter(probe.events),
                     [Counter(t.events) for t in train],
                     det.weights if idf else None,
                     det.default_weight,
+                    norm=norm,
                 )
                 assert det.score(probe) == pytest.approx(expected, abs=1e-12)
 
     def test_both_empty_score_zero(self):
         det = CountVectorDetector().fit([seq([])])
         assert det.score(seq([])) == 0.0
+
+    def test_index_built_at_fit(self):
+        det = CountVectorDetector(idf=True).fit([seq([1, 1, 2]), seq([2, 3]), seq([2, 1, 1])])
+        assert det.postings == {1: [(0, 2)], 2: [(0, 1), (1, 1)], 3: [(1, 1)]}
+        assert det.lengths == [3, 2]
+        assert det.masses == [2 * det.weights[1], det.weights[3]]
+
+    @pytest.mark.parametrize("norm", ["mass", "len"])
+    def test_empty_probe(self, norm):
+        without_empty = CountVectorDetector(norm=norm).fit([seq([1]), seq([2, 2])])
+        assert without_empty.score(seq([])) == 1.0
+        for idf in (False, True):
+            with_empty = CountVectorDetector(idf=idf, norm=norm).fit([seq([1]), seq([])])
+            assert with_empty.score(seq([])) == 0.0
+
+    @pytest.mark.parametrize(
+        "norm, train, probe",
+        [
+            (
+                "mass",
+                [[1, 1, 1, 2, 2, 3, 3, 3], [3, 1, 1, 2], [2, 3, 3, 3], [1, 1, 1, 2, 2, 2]],
+                [3, 1, 2, 1, 1, 1, 1],
+            ),
+            (
+                "len",
+                [
+                    [3, 4, 5, 5, 2, 2, 1],
+                    [4, 4, 2, 2, 2, 6, 6, 6, 5],
+                    [5, 5, 5, 1, 1, 4, 4, 3, 3, 3, 2, 2, 2],
+                    [4, 4, 4],
+                    [1, 1],
+                    [1, 1, 6],
+                    [5, 5, 5, 2, 2, 6, 6, 3, 3, 1, 1, 4, 4],
+                    [5, 5, 5, 3, 1],
+                ],
+                [1, 3, 2, 1, 6, 1, 3, 3, 7, 4],
+            ),
+        ],
+    )
+    def test_idf_rescores_near_ties(self, norm, train, probe):
+        # the approximate minimum sits on a bank vector whose exact distance
+        # is one ulp above another's, so only re-scoring near ties is exact
+        det = CountVectorDetector(idf=True, norm=norm).fit([seq(t) for t in train])
+        assert det.score(seq(probe)).hex() == ecvc_score_bruteforce(det, Counter(probe)).hex()
+
+    def test_zero_mass_pair_scores_zero(self):
+        # event 1 is in every training sequence, so its idf weight is 0
+        det = CountVectorDetector(idf=True).fit([seq([1]), seq([1, 2])])
+        assert det.weights[1] == 0.0
+        assert det.score(seq([1, 1, 1])) == 0.0
+
+
+@st.composite
+def ecvc_cases(draw):
+    """A training bank and probes that reach the index's edge cases.
+
+    A shared event in every training sequence has idf weight 0 (sequences
+    of it alone have zero mass); duplicated sequences repeat bank vectors;
+    probes may be empty, singletons, or hold events unseen in training.
+    """
+    n_events = draw(st.integers(min_value=1, max_value=8))
+    events = st.integers(min_value=1, max_value=n_events)
+    train = draw(st.lists(st.lists(events, max_size=12), min_size=1, max_size=25))
+    if draw(st.booleans()):
+        train = [t + [0] * draw(st.integers(min_value=1, max_value=2)) for t in train]
+    if draw(st.booleans()):
+        train += draw(st.lists(st.sampled_from(train), max_size=10))
+    probe_events = st.integers(min_value=0, max_value=n_events + 3)
+    probes = draw(
+        st.lists(
+            st.one_of(
+                st.lists(probe_events, max_size=12),
+                st.lists(probe_events, min_size=1, max_size=1),
+                st.lists(st.just(0), max_size=3),
+                st.sampled_from(train),
+            ),
+            min_size=1,
+            max_size=8,
+        )
+    )
+    return train, probes
+
+
+@settings(max_examples=300, deadline=None)
+@given(ecvc_cases())
+def test_ecvc_index_equals_bruteforce_bitwise(case):
+    train, probes = case
+    for idf in (False, True):
+        for norm in ("mass", "len"):
+            det = CountVectorDetector(idf=idf, norm=norm).fit([seq(t) for t in train])
+            scores = det.score_batch([seq(p) for p in probes])
+            expected = [ecvc_score_bruteforce(det, Counter(p)) for p in probes]
+            assert [s.hex() for s in scores] == [e.hex() for e in expected], (idf, norm)
 
 
 @given(
@@ -430,9 +530,14 @@ class TestTiming:
         assert det.score(seq([1, 2], ts=[0.0, 2.0])) == 1.0
 
     def test_negative_delta_clamped_and_tallied(self):
-        det = EventTimingDetector().fit([seq([1, 2], ts=[0.0, 1.0])])
-        det.score(seq([1, 2], ts=[10.0, 4.0]))
-        assert det.negative_deltas == 1
+        det = EventTimingDetector().fit([seq([1, 2], ts=[0.0, 1.0]), seq([3, 4, 3], ts=[5.0, 2.0, 1.0])])
+        assert det.negative_deltas == 2
+        assert det.ranges[(3, 4)] == (0.0, 0.0)
+        before = copy.deepcopy(vars(det))
+        # dt = -6 is clamped to 0, one whole range width below lo = 1
+        assert det.score(seq([1, 2], ts=[10.0, 4.0])) == 1.0
+        assert det.score_batch([seq([3, 4], ts=[2.0, 1.0])]) == [0.0]
+        assert vars(det) == before
 
     def test_not_applicable_without_timestamps(self):
         with pytest.raises(DetectorNotApplicable):

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import logging
 import random
+import re
 from collections import Counter
 from dataclasses import replace
 from pathlib import Path
@@ -291,6 +293,27 @@ class TestEvaluateStudy:
         assert [o.best.metrics for o in serial.outcomes if o.best] == [
             o.best.metrics for o in parallel.outcomes if o.best
         ]
+
+    @pytest.mark.parametrize("jobs", [1, 2])
+    def test_progress_logged_per_run(self, caplog, jobs):
+        seqs = synthetic_corpus(n_normal=40, per_anomaly=2)
+        config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=2)
+        with caplog.at_level(logging.INFO, logger="logbench.evaluation"):
+            evaluate_study(seqs, config, ["event", "ecvc", "timing"], jobs=jobs)
+        records = [r for r in caplog.records if "finished" in r.getMessage()]
+        assert [r.levelno for r in records] == [logging.INFO] * 3
+        lines = [r.getMessage() for r in records]
+        assert [line.split(" rows in ")[0] for line in lines] == [
+            f"run {i}/3 finished: 3" for i in (1, 2, 3)
+        ]
+        assert all(re.fullmatch(r".* rows in \d+\.\d\d s", line) for line in lines)
+
+    def test_progress_silent_at_warning(self, caplog):
+        seqs = synthetic_corpus(n_normal=40, per_anomaly=2)
+        config = EvalConfig(train_fraction=0.2, repetitions=2, rng_seed=2)
+        with caplog.at_level(logging.WARNING, logger="logbench.evaluation"):
+            evaluate_study(seqs, config, ["event"])
+        assert caplog.records == []
 
     def test_degeneracy_warning_surfaced(self):
         # anomalies mirror the normal patterns exactly, so the F1 optimum

@@ -3,7 +3,7 @@ from __future__ import annotations
 from collections import Counter
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logbench.errors import ValidationError
 from logbench.ingest import Label, NORMAL, ParsedEvent
@@ -21,6 +21,8 @@ from logbench.sequencing import (
     to_count_vector,
     write_sequences,
 )
+
+from oracles import window_spans_naive
 
 
 def ev(line_no, event_id, seq_ids, ts=None, label=None):
@@ -71,16 +73,32 @@ class TestGroupByWindow:
     def test_window5_step2_over_7_events(self):
         events = [ev(i + 1, i, ["x"]) for i in range(7)]
         windows = group_by_window(events, 5, 2)
+        # [4, 5, 6] lies inside [2..6], so no trailing window follows
         assert [w.events for w in windows] == [
             [0, 1, 2, 3, 4],
             [2, 3, 4, 5, 6],
-            [4, 5, 6],
         ]
 
     def test_window_at_least_stream_length(self):
         events = [ev(i + 1, i, ["x"]) for i in range(4)]
         assert [w.events for w in group_by_window(events, 4, 2)] == [[0, 1, 2, 3]]
         assert [w.events for w in group_by_window(events, 9, 2)] == [[0, 1, 2, 3]]
+
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=-3, max_value=3),
+        st.integers(min_value=0, max_value=2),
+    )
+    def test_matches_naive_oracle(self, window, step, offset, periods):
+        # stream lengths around the window and its following step starts
+        n = max(0, window + offset + periods * step)
+        events = [ev(i + 1, i, ["x"]) for i in range(n)]
+        windows = group_by_window(events, window, step)
+        spans = window_spans_naive(n, window, step)
+        assert [w.events for w in windows] == [list(range(a, b)) for a, b in spans]
+        assert [w.seq_id for w in windows] == [f"window-{a}" for a, _ in spans]
 
     def test_tumbling_10_events_window3(self):
         events = [ev(i + 1, i, ["x"]) for i in range(10)]
