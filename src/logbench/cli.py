@@ -3,6 +3,13 @@
 Artifacts are written atomically (temp file + rename) and every command
 drops a JSON manifest capturing the tool version, arguments, input
 digests, realized sample sizes, and timings, so a run can be replayed.
+
+Each command imports the `logbench` modules it runs inside its own
+function. Every stage of the study is a fresh process per corpus, so what
+this module imports before parsing its arguments is paid once per stage:
+on small corpora, importing all seven modules and the process pool up
+front took as long as the work itself. `parse` loads only `ingest`, and
+`eval` loads the process pool only when it starts one.
 """
 
 from __future__ import annotations
@@ -19,48 +26,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
-from .complexity import DEFAULT_ENTROPY_NS, entropy_report, lz_complexity
-from .detectors import DetectorBuilder, STUDY_DETECTORS
 from .errors import DetectorNotApplicable, LogbenchError, ValidationError
-from .evaluation import (
-    EvalConfig,
-    evaluate_study,
-    write_bests_csv,
-    write_results_csv,
-    write_scores_csv,
-    write_summary_csv,
-    write_sweep_csv,
-)
-from .ingest import (
-    IngestReport,
-    bundled_profile_names,
-    dir_label_map,
-    load_profile,
-    load_template_catalog,
-    parse_file,
-    parse_tree,
-    read_events,
-    write_events,
-)
-from .sequencing import (
-    GroupingReport,
-    attach_sequence_labels,
-    dedupe_replicated,
-    group_by_identifier,
-    group_by_window,
-    lift_event_labels,
-    load_label_file,
-    read_sequences,
-    write_sequences,
-)
-from .stats import (
-    event_frequency_dist,
-    interarrival_dist,
-    length_dist,
-    summarize,
-    summary_lines,
-    top_sequences,
-)
 
 LOGGER = logging.getLogger("logbench.cli")
 
@@ -164,33 +130,36 @@ def _manifest_path_for(out: Path, is_dir: bool) -> Path:
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
-    profile = load_profile(args.profile)
+    from . import ingest
+
+    source = resolve_input(args.input)
+    templates = resolve_input(args.templates) if args.templates else None
+    manifest = Manifest(args, [source] + ([templates] if templates else []))
+    profile = ingest.load_profile(args.profile)
     catalog = None
     if not profile.tokenized:
-        if not args.templates:
+        if templates is None:
             raise ValidationError("--templates is required for non-tokenized profiles")
-        catalog = load_template_catalog(resolve_input(args.templates))
-    source = resolve_input(args.input)
-    inputs = [source] + ([resolve_input(args.templates)] if args.templates else [])
-    manifest = Manifest(args, inputs)
-    report = IngestReport()
+        catalog = ingest.load_template_catalog(templates)
+    manifest.time_stage("load")
+    report = ingest.IngestReport()
     out = Path(args.out)
 
     unmatched = atomic_write(Path(args.unmatched_out)) if args.unmatched_out else nullcontext()
     with unmatched as unmatched_handle:
         if source.is_dir():
-            events = parse_tree(
+            events = ingest.parse_tree(
                 source, catalog, profile, report=report, unmatched_sink=unmatched_handle
             )
         else:
-            events = parse_file(
+            events = ingest.parse_file(
                 source, catalog, profile, report=report, unmatched_sink=unmatched_handle
             )
         with atomic_write(out) as handle:
-            rows = write_events(events, handle, keep_unidentified=args.keep_unidentified)
+            rows = ingest.write_events(events, handle, keep_unidentified=args.keep_unidentified)
 
     if source.is_dir() and profile.label_source == "file-dir":
-        labels = dir_label_map(source, profile)
+        labels = ingest.dir_label_map(source, profile)
         label_path = out.with_name(out.name + ".labels.csv")
         with atomic_write(label_path) as handle:
             handle.write("seq_id,label\n")
@@ -220,34 +189,36 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
+    from . import ingest, sequencing
+
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    events = read_events(source)
+    events = ingest.read_events(source)
     if args.mode in ("id", "file"):
-        greport = GroupingReport()
-        seqs = group_by_identifier(events, report=greport)
+        greport = sequencing.GroupingReport()
+        seqs = sequencing.group_by_identifier(events, report=greport)
         manifest.record("events_total", greport.events_total)
         manifest.record("discarded_no_id", greport.discarded_no_id)
     else:
         if args.window is None:
             raise ValidationError("--window is required for window mode")
-        seqs = group_by_window(dedupe_replicated(events), args.window, args.step)
+        seqs = sequencing.group_by_window(sequencing.dedupe_replicated(events), args.window, args.step)
 
     labeled_via_events = 0
     if args.labels:
-        labels = load_label_file(resolve_input(args.labels))
-        seqs, unlabeled = attach_sequence_labels(seqs, labels)
+        labels = sequencing.load_label_file(resolve_input(args.labels))
+        seqs, unlabeled = sequencing.attach_sequence_labels(seqs, labels)
         manifest.record("unlabeled_excluded", len(unlabeled))
     else:
         for seq in seqs:
             if seq.label is None and seq.event_labels is not None:
-                lift_event_labels(seq)
+                sequencing.lift_event_labels(seq)
                 labeled_via_events += 1
         manifest.record("labels_lifted_from_events", labeled_via_events)
 
     out = Path(args.out)
     with atomic_write(out) as handle:
-        rows = write_sequences(seqs, handle)
+        rows = sequencing.write_sequences(seqs, handle)
     manifest.time_stage("group")
     manifest.record("sequences_written", rows)
     manifest.write(_manifest_path_for(out, is_dir=False))
@@ -256,7 +227,9 @@ def cmd_group(args: argparse.Namespace) -> int:
 
 
 def _load_labeled_sequences(path: Path):
-    seqs = read_sequences(path)
+    from . import sequencing
+
+    seqs = sequencing.read_sequences(path)
     labeled = [s for s in seqs if s.label is not None]
     dropped = len(seqs) - len(labeled)
     if dropped:
@@ -265,41 +238,44 @@ def _load_labeled_sequences(path: Path):
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
+    from . import stats
+
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
     seqs, dropped = _load_labeled_sequences(source)
     out_dir = Path(args.out_dir)
 
-    summary = summarize(seqs)
+    top = stats.top_sequences(seqs, args.top_k)
+    summary = stats.summarize(seqs)
     with atomic_write(out_dir / "summary.txt") as handle:
-        handle.write("\n".join(summary_lines(summary)) + "\n")
+        handle.write("\n".join(stats.summary_lines(summary)) + "\n")
 
     with atomic_write(out_dir / "event_frequencies.csv") as handle:
         handle.write("event_id,normal_count,anomalous_count\n")
-        for event_id, n, a in event_frequency_dist(seqs):
+        for event_id, n, a in stats.event_frequency_dist(seqs):
             handle.write(f"{event_id},{n},{a}\n")
 
     with atomic_write(out_dir / "length_distribution.csv") as handle:
         handle.write("length,normal_count,anomalous_count\n")
-        for length, n, a in length_dist(seqs):
+        for length, n, a in stats.length_dist(seqs):
             handle.write(f"{length},{n},{a}\n")
 
     with atomic_write(out_dir / "top_sequences.csv") as handle:
         handle.write("class,count,events\n")
-        for cls, items in top_sequences(seqs, args.top_k).items():
+        for cls, items in top.items():
             for count, events in items:
                 handle.write(f"{cls},{count},{' '.join(map(str, events))}\n")
 
     with atomic_write(out_dir / "interarrival.csv") as handle:
         handle.write("class,pair,min,q1,median,q3,max,count\n")
         if args.interarrival_by_pair:
-            for cls, pairs in interarrival_dist(seqs, by_pair=True).items():
+            for cls, pairs in stats.interarrival_dist(seqs, by_pair=True).items():
                 for pair, s in pairs.items():
                     handle.write(
                         f"{cls},{pair[0]}->{pair[1]},{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n"
                     )
         else:
-            for cls, s in interarrival_dist(seqs).items():
+            for cls, s in stats.interarrival_dist(seqs).items():
                 handle.write(
                     f"{cls},,{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n"
                 )
@@ -308,7 +284,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
     manifest.record("sequences", len(seqs))
     manifest.record("unlabeled_dropped", dropped)
     manifest.write(out_dir / "manifest.json")
-    print("\n".join(summary_lines(summary)))
+    print("\n".join(stats.summary_lines(summary)))
     print(f"reports -> {out_dir}")
     return 0
 
@@ -331,21 +307,23 @@ def _parse_entropy_ns(spec: str) -> tuple[int, ...]:
 
 
 def cmd_complexity(args: argparse.Namespace) -> int:
+    from . import complexity, sequencing
+
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    seqs = read_sequences(source)
-    ns = _parse_entropy_ns(args.entropy_n) if args.entropy_n else DEFAULT_ENTROPY_NS
+    seqs = sequencing.read_sequences(source)
+    ns = _parse_entropy_ns(args.entropy_n) if args.entropy_n else complexity.DEFAULT_ENTROPY_NS
     out = Path(args.out)
     with atomic_write(out) as handle:
         handle.write("measure,N,value\n")
-        for entry in entropy_report(seqs, ns):
+        for entry in complexity.entropy_report(seqs, ns):
             handle.write(f"entropy,{entry.n},{entry.total_entropy:.6f}\n")
             handle.write(f"normalized_entropy,{entry.n},{entry.normalized_entropy:.6f}\n")
             handle.write(f"distinct_ngrams,{entry.n},{entry.distinct_ngrams}\n")
             if entry.degenerate:
                 manifest.warn(f"no {entry.n}-grams observed; entropy entry degenerate")
         if args.lz:
-            curve = lz_complexity(seqs, count_trailing=args.lz_count_trailing)
+            curve = complexity.lz_complexity(seqs, count_trailing=args.lz_count_trailing)
             for events_processed, value in curve.points:
                 handle.write(f"lz_complexity,{events_processed},{value}\n")
             manifest.record("lz_final_complexity", curve.final_complexity)
@@ -359,32 +337,37 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 def _load_for_eval(path: str, granularity: str):
     source = resolve_input(path)
     if granularity == "event":
-        greport = GroupingReport()
-        seqs = group_by_identifier(read_events(source), report=greport)
+        from . import ingest, sequencing
+
+        seqs = sequencing.group_by_identifier(ingest.read_events(source))
         for seq in seqs:
             if seq.event_labels is not None:
-                lift_event_labels(seq)
+                sequencing.lift_event_labels(seq)
         seqs = [s for s in seqs if s.label is not None]
     else:
         seqs, _ = _load_labeled_sequences(source)
     return source, seqs
 
 
-def _study(args: argparse.Namespace, seqs, config: EvalConfig, **options):
+def _study(args: argparse.Namespace, seqs, config, **options):
     """Run the study over the comma-separated `--detectors` rows."""
+    from . import detectors, evaluation
+
     detector_specs = [d.strip() for d in args.detectors.split(",") if d.strip()]
-    factory = DetectorBuilder(args.ecvc_norm, args.ngram_norm, args.ngram_pad)
-    return evaluate_study(seqs, config, detector_specs, detector_factory=factory, **options)
+    factory = detectors.DetectorBuilder(args.ecvc_norm, args.ngram_norm, args.ngram_pad)
+    return evaluation.evaluate_study(seqs, config, detector_specs, detector_factory=factory, **options)
 
 
 def cmd_eval(args: argparse.Namespace) -> int:
+    from . import detectors, evaluation
+
     if args.detectors is None:
-        args.detectors = "event" if args.granularity == "event" else ",".join(STUDY_DETECTORS)
+        args.detectors = "event" if args.granularity == "event" else ",".join(detectors.STUDY_DETECTORS)
     if args.granularity == "event" and args.dump_scores:
         raise ValidationError("--dump-scores is not supported with --granularity event")
     source, seqs = _load_for_eval(args.input, args.granularity)
     manifest = Manifest(args, [source])
-    config = EvalConfig(
+    config = evaluation.EvalConfig(
         train_fraction=args.train_frac,
         repetitions=args.runs,
         rng_seed=args.seed,
@@ -393,14 +376,14 @@ def cmd_eval(args: argparse.Namespace) -> int:
     report = _study(args, seqs, config, jobs=args.jobs, dump_run0_scores=args.dump_scores)
     out_dir = Path(args.out_dir)
     with atomic_write(out_dir / "results.csv") as handle:
-        write_results_csv(report, handle)
+        evaluation.write_results_csv(report, handle)
     with atomic_write(out_dir / "summary.csv") as handle:
-        write_summary_csv(report, handle)
+        evaluation.write_summary_csv(report, handle)
     with atomic_write(out_dir / "bests.csv") as handle:
-        write_bests_csv(report, handle)
+        evaluation.write_bests_csv(report, handle)
     if args.dump_scores:
         with atomic_write(out_dir / "scores_run0.csv") as handle:
-            write_scores_csv(report.score_dump, handle)
+            evaluation.write_scores_csv(report.score_dump, handle)
     manifest.time_stage("eval")
     manifest.record("sequences", len(seqs))
     manifest.record("train_sizes", report.train_sizes)
@@ -418,16 +401,18 @@ def cmd_eval(args: argparse.Namespace) -> int:
 
 def cmd_sweep(args: argparse.Namespace) -> int:
     """The per-threshold curves of the study's run 0: `eval --runs 1` without the summaries."""
+    from . import evaluation
+
     source, seqs = _load_for_eval(args.input, "sequence")
     manifest = Manifest(args, [source])
-    config = EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
+    config = evaluation.EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
     report = _study(args, seqs, config, jobs=1)
     refused = [o.detector for o in report.outcomes if o.not_applicable]
     if refused:
         raise DetectorNotApplicable(f"detector not applicable to this data set: {', '.join(refused)}")
     out_dir = Path(args.out_dir)
     with atomic_write(out_dir / "sweep.csv") as handle:
-        write_sweep_csv(report.results(), handle)
+        evaluation.write_sweep_csv(report.results(), handle)
     manifest.time_stage("sweep")
     manifest.record("train_size", report.train_sizes[0])
     manifest.write(out_dir / "manifest.json")
@@ -436,11 +421,13 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
 
 def cmd_profiles(args: argparse.Namespace) -> int:
+    from . import ingest
+
     if args.action == "list":
-        for name in bundled_profile_names():
+        for name in ingest.bundled_profile_names():
             print(name)
         return 0
-    profile = load_profile(args.name)
+    profile = ingest.load_profile(args.name)
     for key, value in sorted(vars(profile).items()):
         if value is not None:
             print(f"{key} = {value}")

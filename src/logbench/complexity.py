@@ -32,13 +32,11 @@ class EntropyEntry:
 
 
 def _pool_ngrams(seqs: Iterable[Sequence | PySequence[int]], n: int) -> Counter:
+    """Count every contiguous n-gram in first-seen order, the order `ngram_entropy` sums in."""
     pooled: Counter = Counter()
     for seq in seqs:
         events = seq.events if isinstance(seq, Sequence) else seq
-        if len(events) < n:
-            continue
-        for i in range(len(events) - n + 1):
-            pooled[tuple(events[i : i + n])] += 1
+        pooled.update(zip(*(events[k:] for k in range(n))))
     return pooled
 
 

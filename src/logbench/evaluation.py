@@ -25,7 +25,6 @@ import random
 import statistics
 import time
 from bisect import bisect_right
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import ExitStack
 from dataclasses import dataclass, field
 from typing import Callable, Iterable, Sequence as PySequence, TextIO
@@ -377,6 +376,8 @@ def evaluate_study(
     event is flagged iff its type is unseen in the run's training
     sequences); it writes no score dump.
     """
+    if jobs < 1:
+        raise ValidationError("jobs must be >= 1")
     if config.granularity == "event":
         others = [spec for spec in detector_specs if spec.strip().lower() != "event"]
         if others:
@@ -394,6 +395,8 @@ def evaluate_study(
     score_dump: ScoreDump = {}
     with ExitStack() as stack:
         if jobs > 1 and len(runs) > 1:
+            from concurrent.futures import ProcessPoolExecutor
+
             pool = stack.enter_context(
                 ProcessPoolExecutor(max_workers=min(jobs, len(runs)), initializer=_init_worker, initargs=args)
             )

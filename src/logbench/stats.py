@@ -194,6 +194,8 @@ def top_sequences(
     seqs: list[Sequence], k: int
 ) -> dict[str, list[tuple[int, tuple[int, ...]]]]:
     """Most common event lists per class as (count, events), ties broken lexicographically."""
+    if k < 0:
+        raise ValidationError("top-k must be >= 0")
     _require_labeled(seqs)
     counters: dict[str, Counter] = {"normal": Counter(), "anomalous": Counter()}
     for s in seqs:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 
 from logbench.detectors import make_detector
 from logbench.errors import DetectorNotApplicable
@@ -145,6 +146,16 @@ def ecvc_score_bruteforce(detector, cv):
             if best == 0.0:
                 break
     return best
+
+
+def ngram_counts_naive(seqs, n):
+    """Pool contiguous n-grams by slicing one tuple per start position, in first-seen order."""
+    pooled = Counter()
+    for seq in seqs:
+        events = getattr(seq, "events", seq)
+        for i in range(len(events) - n + 1):
+            pooled[tuple(events[i : i + n])] += 1
+    return pooled
 
 
 def entropy_bits_naive(counts) -> float:

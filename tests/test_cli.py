@@ -9,14 +9,7 @@ import pytest
 
 from logbench.cli import build_parser, main
 from logbench.detectors import STUDY_DETECTORS
-from logbench.fixtures import event_labeled_corpus
-from logbench.ingest import (
-    ParsedEvent,
-    bundled_profile_names,
-    load_profile,
-    load_profile_file,
-    write_events,
-)
+from logbench.ingest import bundled_profile_names, load_profile, load_profile_file
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
 
@@ -47,21 +40,6 @@ def sequence_store(tmp_path, parsed_events, synthetic_labels_path):
     return out
 
 
-@pytest.fixture()
-def event_store(tmp_path):
-    """Parsed events with per-event labels, as read by `eval --granularity event`."""
-    events = []
-    line_no = 0
-    for seq in event_labeled_corpus(n_normal=25, n_anomalous=5):
-        for event, ts, label in zip(seq.events, seq.timestamps, seq.event_labels):
-            line_no += 1
-            events.append(ParsedEvent(line_no, event, ts, (seq.seq_id,), label))
-    events_path = tmp_path / "events.tsv"
-    with open(events_path, "w", newline="") as handle:
-        write_events(events, handle)
-    return events_path
-
-
 class TestParseCommand:
     def test_outputs_and_manifest(self, tmp_path, parsed_events):
         assert parsed_events.exists()
@@ -71,6 +49,12 @@ class TestParseCommand:
         assert manifest["realized"]["unmatched_lines"] == 1
         assert manifest["version"]
         assert manifest["config_hash"]
+
+    def test_manifest_times_load_apart_from_parse(self, tmp_path, parsed_events, synthetic_log_path):
+        manifest = json.loads((tmp_path / "events.tsv.manifest.json").read_text())
+        assert list(manifest["timings_sec"]) == ["load", "parse"]
+        assert all(seconds >= 0 for seconds in manifest["timings_sec"].values())
+        assert list(manifest["inputs"]) == [str(synthetic_log_path), str(DATA / "synthetic.templates")]
 
     def test_unmatched_side_file(self, tmp_path, synthetic_log_path):
         out = tmp_path / "ev.tsv"
@@ -166,6 +150,13 @@ class TestStatsCommand:
             assert (out_dir / name).exists(), name
         assert "number_of_sequences" in (out_dir / "summary.txt").read_text()
 
+
+    def test_negative_top_k_rejected(self, tmp_path, sequence_store, capsys):
+        out_dir = tmp_path / "stats"
+        code = run("stats", "--input", sequence_store, "--out-dir", out_dir, "--top-k", "-1")
+        assert code == 2
+        assert capsys.readouterr().err == "error: top-k must be >= 0\n"
+        assert not out_dir.exists()
 
     def test_non_integer_event_names_the_line(self, tmp_path, capsys):
         store = tmp_path / "bad.tsv"
@@ -268,6 +259,14 @@ class TestEvalCommand:
             "--out-dir", tmp_path / "x",
         )
         assert code != 0
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_non_positive_jobs_rejected(self, tmp_path, bundled_corpus_path, capsys, jobs):
+        out_dir = tmp_path / "eval"
+        code = run("eval", "--input", bundled_corpus_path, "--runs", "2", "--jobs", jobs, "--out-dir", out_dir)
+        assert code == 2
+        assert capsys.readouterr().err == "error: jobs must be >= 1\n"
+        assert not out_dir.exists()
 
     def test_three_column_store_names_the_line(self, tmp_path, capsys):
         store = tmp_path / "bad.tsv"

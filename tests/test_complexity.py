@@ -1,15 +1,17 @@
 from __future__ import annotations
 
 import random
+from unittest.mock import patch
 
 import pytest
 from hypothesis import given, strategies as st
 
+from logbench import complexity
 from logbench.complexity import entropy_report, lz_complexity, ngram_entropy
 from logbench.errors import ValidationError
 from logbench.sequencing import Sequence
 
-from oracles import entropy_bits_naive, lz_phrases_naive
+from oracles import entropy_bits_naive, lz_phrases_naive, ngram_counts_naive
 
 
 class TestEntropy:
@@ -82,6 +84,30 @@ def test_entropy_invariant_under_sequence_reordering(seqs, rng):
     b = ngram_entropy(shuffled, 2)
     assert a.total_entropy == pytest.approx(b.total_entropy, abs=1e-12)
     assert a.distinct_ngrams == b.distinct_ngrams
+
+
+@given(
+    st.lists(
+        st.one_of(
+            st.lists(st.integers(min_value=1, max_value=5), max_size=14),
+            st.lists(st.integers(min_value=1, max_value=3), max_size=14).map(
+                lambda events: Sequence("s", events)
+            ),
+        ),
+        max_size=8,
+    ),
+    st.integers(min_value=1, max_value=12),
+)
+def test_pooled_ngrams_match_naive_slicing(seqs, n):
+    pooled = complexity._pool_ngrams(seqs, n)
+    naive = ngram_counts_naive(seqs, n)
+    assert list(pooled.items()) == list(naive.items())
+    fast = ngram_entropy(seqs, n)
+    with patch.object(complexity, "_pool_ngrams", ngram_counts_naive):
+        slow = ngram_entropy(seqs, n)
+    assert fast.total_entropy.hex() == slow.total_entropy.hex()
+    assert fast.normalized_entropy.hex() == slow.normalized_entropy.hex()
+    assert fast == slow
 
 
 class TestLempelZiv:
