@@ -89,7 +89,11 @@ def _digest_inputs(paths: list[Path]) -> dict[str, str]:
 
 
 class Manifest:
-    """Replay record written next to (or inside) each command's output."""
+    """Replay record written next to (or inside) each command's output.
+
+    `timings_sec` starts with `digest`, the hashing of the inputs, so no
+    later stage's time includes it.
+    """
 
     def __init__(self, args: argparse.Namespace, inputs: list[Path]):
         self.started = time.perf_counter()
@@ -106,6 +110,7 @@ class Manifest:
         self.data["config_hash"] = hashlib.sha256(
             json.dumps(self.data["args"], sort_keys=True, default=str).encode()
         ).hexdigest()
+        self.time_stage("digest")
 
     def record(self, key: str, value) -> None:
         self.data["realized"][key] = value
@@ -334,19 +339,24 @@ def cmd_complexity(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_for_eval(path: str, granularity: str):
-    source = resolve_input(path)
+def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
     if granularity == "event":
         from . import ingest, sequencing
 
-        seqs = sequencing.group_by_identifier(ingest.read_events(source))
+        greport = sequencing.GroupingReport()
+        seqs = sequencing.group_by_identifier(ingest.read_events(source), report=greport)
+        manifest.record("events_total", greport.events_total)
+        manifest.record("discarded_no_id", greport.discarded_no_id)
+        if greport.discarded_no_id:
+            manifest.warn(f"{greport.discarded_no_id} events without a sequence id were discarded")
         for seq in seqs:
             if seq.event_labels is not None:
                 sequencing.lift_event_labels(seq)
         seqs = [s for s in seqs if s.label is not None]
     else:
         seqs, _ = _load_labeled_sequences(source)
-    return source, seqs
+    manifest.time_stage("load")
+    return seqs
 
 
 def _study(args: argparse.Namespace, seqs, config, **options):
@@ -365,8 +375,9 @@ def cmd_eval(args: argparse.Namespace) -> int:
         args.detectors = "event" if args.granularity == "event" else ",".join(detectors.STUDY_DETECTORS)
     if args.granularity == "event" and args.dump_scores:
         raise ValidationError("--dump-scores is not supported with --granularity event")
-    source, seqs = _load_for_eval(args.input, args.granularity)
+    source = resolve_input(args.input)
     manifest = Manifest(args, [source])
+    seqs = _load_for_eval(source, args.granularity, manifest)
     config = evaluation.EvalConfig(
         train_fraction=args.train_frac,
         repetitions=args.runs,
@@ -403,8 +414,9 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     """The per-threshold curves of the study's run 0: `eval --runs 1` without the summaries."""
     from . import evaluation
 
-    source, seqs = _load_for_eval(args.input, "sequence")
+    source = resolve_input(args.input)
     manifest = Manifest(args, [source])
+    seqs = _load_for_eval(source, "sequence", manifest)
     config = evaluation.EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
     report = _study(args, seqs, config, jobs=1)
     refused = [o.detector for o in report.outcomes if o.not_applicable]

@@ -3,8 +3,10 @@
 Every detector trains on normal sequences only and scores test sequences
 in [0, 1]; a sequence is flagged iff score > threshold (strict). The
 new-event and length detectors are threshold-free and emit 0/1 scores.
-Trained models are immutable; scoring is a pure function of
-(model, sequence).
+`fit` builds the whole model and scoring writes no state, so every score
+is a pure function of (model, sequence), and of the batch for `global-max`
+n-grams. Repeats are the study loop's job, so that one place decides which
+sequences score alike: it scores each distinct event tuple once per run.
 
 Study rows such as `event+length+ecvc` are OR-combinations of these base
 detectors. They are not detectors of their own: the evaluation fits and
@@ -114,6 +116,7 @@ class Detector:
 
     name = "base"
     thresholded = True
+    reads_timestamps = False  # whether equal event tuples may score differently
 
     def fit(self, train: list[Sequence]) -> "Detector":
         raise NotImplementedError
@@ -221,7 +224,6 @@ class CountVectorDetector(Detector):
         self.postings: dict[int, list[tuple[int, int]]] = {}
         self.lengths: list[int] = []
         self.masses: list[float] = []
-        self._cache: dict[tuple, float] = {}
 
     def fit(self, train):
         _require_training(train)
@@ -249,7 +251,6 @@ class CountVectorDetector(Detector):
                 self.postings.setdefault(event, []).append((i, count))
         self.lengths = [sum(cv.values()) for cv in self.bank]
         self.masses = [self._mass(cv) for cv in self.bank]
-        self._cache = {}
         return self
 
     def _weight(self, event: int) -> float:
@@ -323,13 +324,7 @@ class CountVectorDetector(Detector):
 
     def score(self, seq):
         cv = to_count_vector(seq)
-        key = count_vector_key(cv)
-        cached = self._cache.get(key)
-        if cached is not None:
-            return cached
-        best = self._nearest_weighted(cv) if self.idf else self._nearest_unweighted(cv)
-        self._cache[key] = best
-        return best
+        return self._nearest_weighted(cv) if self.idf else self._nearest_unweighted(cv)
 
 
 class NGramDetector(Detector):
@@ -384,11 +379,7 @@ class NGramDetector(Detector):
 
     def score_batch(self, seqs):
         if self.normalization == "per-sequence":
-            rates = []
-            for s in seqs:
-                miss, total = self.mismatches(s)
-                rates.append(miss / total if total else 0.0)
-            return rates
+            return [miss / total for miss, total in map(self.mismatches, seqs)]
         counts = [self.mismatches(s)[0] for s in seqs]
         peak = max(counts, default=0)
         if peak == 0:
@@ -414,19 +405,15 @@ class EditDistanceDetector(Detector):
         self.bank_set: frozenset[tuple[int, ...]] = frozenset()
         self.by_length: dict[int, list[tuple[int, ...]]] = {}
         self.lengths: list[int] = []
-        self._cache: dict[tuple[int, ...], float] = {}
 
     def fit(self, train):
         _require_training(train)
         bank = {tuple(seq.events) for seq in train}
         self.bank_set = frozenset(bank)
         self.by_length = {}
-        for item in bank:
+        for item in sorted(bank):
             self.by_length.setdefault(len(item), []).append(item)
-        for items in self.by_length.values():
-            items.sort()
         self.lengths = sorted(self.by_length)
-        self._cache = {}
         return self
 
     @staticmethod
@@ -455,11 +442,7 @@ class EditDistanceDetector(Detector):
 
     def score(self, seq):
         target = tuple(seq.events)
-        cached = self._cache.get(target)
-        if cached is not None:
-            return cached
         if target in self.bank_set:
-            self._cache[target] = 0.0
             return 0.0
         m = len(target)
         best = 1.0
@@ -475,7 +458,6 @@ class EditDistanceDetector(Detector):
                     best = nd
             if best == 0.0:
                 break
-        self._cache[target] = best
         return best
 
 
@@ -492,6 +474,7 @@ class EventTimingDetector(Detector):
     """
 
     name = "timing"
+    reads_timestamps = True
 
     def __init__(self):
         self.ranges: dict[tuple[int, int], tuple[float, float]] = {}

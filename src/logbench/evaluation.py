@@ -8,6 +8,10 @@ run's split to its rows, one confusion count and one report assembly.
 
 At sequence granularity, each distinct base detector is fitted once per
 run and scores the test set once, giving one score column per base.
+A run interns its test set's event tuples, and a base detector scores one
+sequence per distinct tuple, expanded back to test-set order (repeats do
+not change the `global-max` n-gram batch maximum); only a detector that
+`reads_timestamps` (`timing`) scores the whole test set.
 Every requested row reads those columns: an OR-combination such as
 `event+length+ecvc` is the element-wise maximum of its members' columns,
 and is not applicable when any member is. Confusion counts at every grid
@@ -243,15 +247,18 @@ DetectorFactory = Callable[[str], Detector]
 
 
 def _score_column(
-    detector: Detector, train: list[Sequence], test: list[Sequence]
+    detector: Detector, train: list[Sequence], test: list[Sequence], unique: list[Sequence], index: list[int]
 ) -> list[float] | None:
-    """Fit once and score the test set once; None when the detector is not applicable."""
+    """Fit once, score each distinct tuple `unique[index[i]]` of `test[i]` once; None if not applicable."""
     try:
         detector.fit(train)
     except DetectorNotApplicable as exc:
         LOGGER.info("detector %s not applicable: %s", detector.name, exc)
         return None
-    return detector.score_batch(test)
+    if detector.reads_timestamps:
+        return detector.score_batch(test)
+    scores = detector.score_batch(unique)
+    return [scores[i] for i in index]
 
 
 def _evaluate_one_run(
@@ -275,6 +282,13 @@ def _evaluate_one_run(
         )
         return [outcome], {}
     anomalous = [seq.label.anomalous for seq in test]
+    ids: dict[tuple[int, ...], int] = {}
+    index, unique = [], []
+    for seq in test:
+        i = ids.setdefault(tuple(seq.events), len(unique))
+        if i == len(unique):
+            unique.append(seq)
+        index.append(i)
     columns: dict[str, list[float] | None] = {}
     outcomes = []
     dumps: ScoreDump = {}
@@ -282,7 +296,7 @@ def _evaluate_one_run(
         members = [factory(part) for part in spec.split("+")]
         for member in members:
             if member.name not in columns:
-                columns[member.name] = _score_column(member, train, test)
+                columns[member.name] = _score_column(member, train, test, unique, index)
         name = "+".join(member.name for member in members)
         member_columns = [columns[member.name] for member in members]
         if any(column is None for column in member_columns):

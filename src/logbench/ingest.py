@@ -348,8 +348,6 @@ class IngestReport:
     invalid_lines: int = 0
     parsed_events: int = 0
     no_id_lines: int = 0
-    events_normal: int = 0
-    events_anomalous: int = 0
     timestamp_error_count: int = 0
     timestamp_errors: list[tuple[int, str]] = field(default_factory=list)
 
@@ -527,11 +525,6 @@ def _count_event(report: IngestReport, event: ParsedEvent) -> None:
     report.parsed_events += len(event.seq_ids)
     if not event.seq_ids:
         report.no_id_lines += 1
-    if event.label is not None:
-        if event.label.anomalous:
-            report.events_anomalous += 1
-        else:
-            report.events_normal += 1
 
 
 def parse_file(

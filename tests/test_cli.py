@@ -9,7 +9,14 @@ import pytest
 
 from logbench.cli import build_parser, main
 from logbench.detectors import STUDY_DETECTORS
-from logbench.ingest import bundled_profile_names, load_profile, load_profile_file
+from logbench.ingest import (
+    ParsedEvent,
+    bundled_profile_names,
+    load_profile,
+    load_profile_file,
+    read_events,
+    write_events,
+)
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
 
@@ -52,7 +59,7 @@ class TestParseCommand:
 
     def test_manifest_times_load_apart_from_parse(self, tmp_path, parsed_events, synthetic_log_path):
         manifest = json.loads((tmp_path / "events.tsv.manifest.json").read_text())
-        assert list(manifest["timings_sec"]) == ["load", "parse"]
+        assert list(manifest["timings_sec"]) == ["digest", "load", "parse"]
         assert all(seconds >= 0 for seconds in manifest["timings_sec"].values())
         assert list(manifest["inputs"]) == [str(synthetic_log_path), str(DATA / "synthetic.templates")]
 
@@ -110,6 +117,30 @@ class TestParseCommand:
 
     def test_no_leftover_temp_files(self, tmp_path, parsed_events):
         assert not list(tmp_path.glob("*.tmp"))
+
+
+def test_every_manifest_times_input_digest_first(tmp_path, sequence_store, bundled_corpus_path):
+    """No command's first stage time includes the hashing of its inputs."""
+    study = ("--input", bundled_corpus_path, "--detectors", "ecvc", "--train-frac", "0.1")
+    commands = {
+        "stats": ("stats", "--input", sequence_store, "--out-dir", tmp_path / "stats"),
+        "complexity": ("complexity", "--input", sequence_store, "--out", tmp_path / "c.csv"),
+        "eval": ("eval", *study, "--runs", "1", "--jobs", "1", "--out-dir", tmp_path / "eval"),
+        "sweep": ("sweep", *study, "--out-dir", tmp_path / "sweep"),
+    }
+    for argv in commands.values():
+        assert run(*argv) == 0, argv
+    manifests = {
+        "parse": tmp_path / "events.tsv.manifest.json",
+        "group": tmp_path / "seqs.tsv.manifest.json",
+        "stats": tmp_path / "stats" / "manifest.json",
+        "complexity": tmp_path / "c.csv.manifest.json",
+        "eval": tmp_path / "eval" / "manifest.json",
+        "sweep": tmp_path / "sweep" / "manifest.json",
+    }
+    for command, path in manifests.items():
+        timings = json.loads(path.read_text())["timings_sec"]
+        assert list(timings)[0] == "digest" and list(timings)[-1] == command, (command, timings)
 
 
 class TestGroupCommand:
@@ -325,6 +356,24 @@ class TestEvalCommand:
         assert code == 0
         assert "event" in (out_dir / "summary.csv").read_text()
 
+
+    def test_event_granularity_counts_events_without_id(self, tmp_path, event_store):
+        events = list(read_events(event_store))
+        mixed = tmp_path / "mixed.tsv"
+        extra = [ParsedEvent(10_000 + i, 1 + i % 3, None, (), None) for i in range(40)]
+        with open(mixed, "w", newline="") as handle:
+            write_events(events[:100] + extra + events[100:], handle, keep_unidentified=True)
+        outputs = []
+        for store in (event_store, mixed):
+            out_dir = tmp_path / store.stem
+            argv = ("--granularity", "event", "--train-frac", "0.2", "--runs", "2", "--jobs", "1")
+            assert run("eval", "--input", store, *argv, "--out-dir", out_dir) == 0
+            outputs.append((out_dir / "results.csv").read_bytes())
+        manifest = json.loads((tmp_path / "mixed" / "manifest.json").read_text())
+        assert manifest["realized"]["events_total"] == len(events) + 40
+        assert manifest["realized"]["discarded_no_id"] == 40
+        assert manifest["warnings"] == ["40 events without a sequence id were discarded"]
+        assert outputs[0] == outputs[1]
 
     def test_event_granularity_identical_for_every_jobs_value(self, tmp_path, event_store):
         outputs = []

@@ -632,3 +632,29 @@ def test_flag_monotone_in_threshold():
     score = det.score(seq([1, 2, 4]))
     flags = [score > t / 100 for t in range(101)]
     assert all(a or not b for a, b in zip(flags, flags[1:]))
+
+
+@pytest.mark.parametrize(
+    "name", ["event", "length", "ecvc", "ecvc-idf", "ngram2", "ngram3", "ngram10", "edit", "timing"]
+)
+def test_scoring_writes_no_state(name):
+    """`score` and `score_batch` leave the fitted model as `fit` left it, repeats included."""
+    train = [
+        seq([1, 2, 3], ts=[0.0, 1.0, 3.0]),
+        seq([1, 2, 2, 3], ts=[0.0, 1.0, 1.5, 2.0]),
+        seq([4, 1], ts=[0.0, 5.0]),
+    ]
+    probes = [
+        seq([1, 2, 3], ts=[0.0, 9.0, 9.5]),
+        seq([3, 2, 1], ts=[0.0, 1.0, 2.0]),
+        seq([1, 2, 3], ts=[0.0, 1.0, 3.0]),
+        seq([1, 2, 4, 4]),
+        seq([]),
+        seq([3, 2, 1], ts=[0.0, 7.0, 8.0]),
+    ]
+    det = make_detector(name).fit(train)
+    before = copy.deepcopy(vars(det))
+    for probe in probes:
+        det.score(probe)
+    det.score_batch(probes + probes)
+    assert vars(det) == before

@@ -1,9 +1,10 @@
 from __future__ import annotations
 
+import itertools
 import logging
 import random
 import re
-from collections import Counter
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 
@@ -337,6 +338,23 @@ class TestEvaluateStudy:
 BASES = ("event", "length", "ecvc", "ecvc-idf", "ngram2", "ngram3", "edit", "timing")
 
 
+def repetitive_corpus(n=120, seed=7):
+    """Few distinct event tuples, each repeated many times with its own timestamps.
+
+    Some tuples reorder one multiset, and one tuple occurs in both classes.
+    """
+    rng = random.Random(seed)
+    normal = [(1, 2, 3, 4), (1, 3, 2, 4), (4, 3, 2, 1), (1, 2, 2, 3), (1, 2, 3), (5, 1, 2)]
+    anomalous = [(1, 2, 4, 3), (1, 2, 3, 9), (2, 2, 2, 2, 2, 2), (1, 2), (4, 3, 2, 1)]
+    seqs = []
+    for i in range(n):
+        anomaly = i % 6 == 5
+        events = rng.choice(anomalous if anomaly else normal)
+        stamps = list(itertools.accumulate(round(rng.uniform(0.1, 5.0), 3) for _ in events))
+        seqs.append(Sequence(f"s{i}", list(events), stamps, ANOM if anomaly else NORMAL))
+    return seqs
+
+
 def random_specs(rng):
     """Rows of one to three members; repeated members and aliases included."""
     names = BASES + ("2-gram", "ECVC(idf)", "event-timing")
@@ -344,11 +362,15 @@ def random_specs(rng):
 
 
 class CountingFactory:
-    """make_detector, with every fit and score_batch call tallied per base name."""
+    """make_detector, with every fit and score_batch call tallied per base name.
+
+    `batches[name]` holds the sequences of each `score_batch` call, in call order.
+    """
 
     def __init__(self):
         self.fits = Counter()
         self.scores = Counter()
+        self.batches = defaultdict(list)
 
     def __call__(self, part):
         detector = make_detector(part)
@@ -360,6 +382,7 @@ class CountingFactory:
 
         def counted_score_batch(seqs):
             self.scores[detector.name] += 1
+            self.batches[detector.name].append(list(seqs))
             return score_batch(seqs)
 
         detector.fit, detector.score_batch = counted_fit, counted_score_batch
@@ -370,11 +393,10 @@ class TestSharedScoreColumns:
     @pytest.mark.parametrize("timestamps", [True, False])
     @pytest.mark.parametrize("jobs,dump", [(1, False), (2, False), (1, True), (2, True)])
     def test_rows_match_member_max_oracle(self, jobs, dump, timestamps):
-        seqs = read_sequences(BUNDLED)
-        if not timestamps:
-            seqs = [replace(s, timestamps=None) for s in seqs]
         rng = random.Random(100 * jobs + 10 * dump + timestamps)
-        for trial in range(3):
+        for seqs, trial in itertools.product((read_sequences(BUNDLED), repetitive_corpus()), range(3)):
+            if not timestamps:
+                seqs = [replace(s, timestamps=None) for s in seqs]
             specs = random_specs(rng)
             config = EvalConfig(train_fraction=0.1, repetitions=2, rng_seed=trial)
             report = evaluate_study(seqs, config, specs, jobs=jobs, dump_run0_scores=dump)
@@ -413,6 +435,23 @@ class TestSharedScoreColumns:
         assert len(bases) == 9
         assert factory.fits == {base: 3 for base in bases}
         assert factory.scores == {base: 3 for base in bases}
+
+    def test_bases_score_each_distinct_tuple_once(self):
+        seqs = repetitive_corpus()
+        factory = CountingFactory()
+        config = EvalConfig(train_fraction=0.1, repetitions=2)
+        evaluate_study(seqs, config, STUDY_DETECTORS, detector_factory=factory)
+        assert len(factory.batches) == 9
+        for run in range(config.repetitions):
+            _, test = split(seqs, config, run)
+            distinct = list(dict.fromkeys(tuple(s.events) for s in test))
+            assert len(distinct) < len(test) / 5
+            for name, batches in factory.batches.items():
+                batch = batches[run]
+                if name == "timing":
+                    assert [s.seq_id for s in batch] == [s.seq_id for s in test]
+                else:
+                    assert [tuple(s.events) for s in batch] == distinct, name
 
     def test_aliases_share_one_column(self):
         seqs = read_sequences(BUNDLED)
