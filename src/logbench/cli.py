@@ -32,6 +32,9 @@ LOGGER = logging.getLogger("logbench.cli")
 
 DATA_DIR_ENV = "LOGBENCH_DATA_DIR"
 
+#: Timestamp errors the parse manifest lists as `<line>: <reason>`; it warns with the full count.
+TIMESTAMP_ERROR_SAMPLE = 10
+
 
 @contextmanager
 def atomic_write(path: Path):
@@ -182,6 +185,10 @@ def cmd_parse(args: argparse.Namespace) -> int:
     manifest.record("parsed_events", report.parsed_events)
     manifest.record("no_id_lines", report.no_id_lines)
     manifest.record("rows_written", rows)
+    manifest.record(
+        "timestamp_error_sample",
+        [f"{line_no}: {reason}" for line_no, reason in report.timestamp_errors[:TIMESTAMP_ERROR_SAMPLE]],
+    )
     if report.timestamp_error_count:
         manifest.warn(f"{report.timestamp_error_count} lines had unparseable timestamps")
     manifest.write(_manifest_path_for(out, is_dir=False))
@@ -231,15 +238,17 @@ def cmd_group(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_labeled_sequences(path: Path):
+def _load_labeled_sequences(path: Path, manifest: Manifest):
+    """The store's labeled sequences; the manifest records how many unlabeled ones were dropped."""
     from . import sequencing
 
     seqs = sequencing.read_sequences(path)
     labeled = [s for s in seqs if s.label is not None]
     dropped = len(seqs) - len(labeled)
+    manifest.record("unlabeled_dropped", dropped)
     if dropped:
-        LOGGER.warning("dropped %d unlabeled sequences", dropped)
-    return labeled, dropped
+        manifest.warn(f"dropped {dropped} unlabeled sequences")
+    return labeled
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
@@ -247,7 +256,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    seqs, dropped = _load_labeled_sequences(source)
+    seqs = _load_labeled_sequences(source, manifest)
     out_dir = Path(args.out_dir)
 
     top = stats.top_sequences(seqs, args.top_k)
@@ -287,7 +296,6 @@ def cmd_stats(args: argparse.Namespace) -> int:
 
     manifest.time_stage("stats")
     manifest.record("sequences", len(seqs))
-    manifest.record("unlabeled_dropped", dropped)
     manifest.write(out_dir / "manifest.json")
     print("\n".join(stats.summary_lines(summary)))
     print(f"reports -> {out_dir}")
@@ -354,7 +362,7 @@ def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
                 sequencing.lift_event_labels(seq)
         seqs = [s for s in seqs if s.label is not None]
     else:
-        seqs, _ = _load_labeled_sequences(source)
+        seqs = _load_labeled_sequences(source, manifest)
     manifest.time_stage("load")
     return seqs
 

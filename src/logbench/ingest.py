@@ -6,16 +6,29 @@ fields, timestamp format, sequence identifier extraction, label source).
 Parsing a file yields one ParsedEvent per matched line and an IngestReport
 with exact accounting: matched + unmatched + invalid = total lines.
 
-Matching rests on one invariant. A *whole literal token* of a template is
-a run of non-whitespace inside a literal segment with whitespace on both
-sides, where the start of the first segment and the end of the last
-segment count as whitespace. If a template fullmatches a message, each of
-its whole literal tokens is also a whitespace-separated token of that
-message. The catalog therefore indexes each template under one whole
-token (its leading one when it has one, else its rarest) and tries only
-the templates indexed under the message's own tokens, plus the templates
-without a whole token, in catalog order. The result is the one a linear
-scan over the whole catalog gives.
+A template is a sequence of literal segments joined by `<*>` wildcards. A
+message matches it when it is those segments in order, with any text
+between them that holds no newline. Matching compiles nothing; it verifies
+the segments with `str` methods. The first segment must start the message
+and the last must end it, with room for both (`ab<*>ba` does not match
+`aba`). Each middle segment is then found at its leftmost place after the
+one before it. Newlines aside, this is exact: a segment placed further left
+leaves at least as much room for the segments after it, so the leftmost
+placement succeeds whenever any placement does. The text between segments
+holds a newline exactly when the message holds more newlines than the
+literals, whatever the placement, so one count settles that. Lines read
+from a file never hold a newline.
+
+Which templates a message is checked against rests on one invariant. A
+*whole literal token* of a template is a run of non-whitespace inside a
+literal segment with whitespace on both sides, where the start of the first
+segment and the end of the last segment count as whitespace. If a template
+matches a message, each of its whole literal tokens is also a
+whitespace-separated token of that message. The catalog therefore indexes
+each template under one whole token (its leading one when it has one, else
+its rarest) and tries only the templates indexed under the message's own
+tokens, plus the templates without a whole token, in catalog order. The
+result is the one a linear scan over the whole catalog gives.
 """
 
 from __future__ import annotations
@@ -83,7 +96,6 @@ class EventTemplate:
     event_id: int
     pattern: str
     segments: tuple[str, ...]
-    regex: re.Pattern
 
     @property
     def n_wildcards(self) -> int:
@@ -95,11 +107,12 @@ class EventTemplate:
 
 
 def compile_template(event_id: int, pattern: str) -> EventTemplate:
-    """Compile a `<*>`-wildcard pattern into an anchored regex template.
+    """Split a `<*>`-wildcard pattern into the literal segments a message must hold.
 
-    Wildcards match non-greedily up to the next literal; a trailing
-    wildcard consumes the rest of the message. A pattern must contain at
-    least one literal character unless it is the explicit catch-all `<*>`.
+    A wildcard matches any text without a newline, the empty text included;
+    a trailing wildcard takes the rest of the message. A pattern must
+    contain at least one literal character unless it is the explicit
+    catch-all `<*>`.
     """
     if event_id < 1:
         raise CatalogError(f"event id must be a positive integer, got {event_id}")
@@ -108,9 +121,7 @@ def compile_template(event_id: int, pattern: str) -> EventTemplate:
         raise CatalogError(
             f"template {event_id} has no literal text and is not the catch-all {WILDCARD!r}"
         )
-    body = "(.*?)".join(re.escape(seg) for seg in segments)
-    regex = re.compile(body)
-    return EventTemplate(event_id, pattern, segments, regex)
+    return EventTemplate(event_id, pattern, segments)
 
 
 def _index_tokens(segments: tuple[str, ...]) -> tuple[str | None, list[str]]:
@@ -129,6 +140,23 @@ def _index_tokens(segments: tuple[str, ...]) -> tuple[str | None, list[str]]:
     return leading, whole
 
 
+def _segment_check(tpl: EventTemplate) -> tuple:
+    """What `TemplateCatalog.match` verifies, as one tuple.
+
+    The tuple is `(head, tail, middles, literal_length, template, len(head),
+    len(tail))`: `head` and `tail` are the first and last segment, `middles`
+    the non-empty segments between them. `tail` is None for a template
+    without a wildcard, which only its own text matches.
+    """
+    segs = tpl.segments
+    if len(segs) == 1:
+        return segs[0], None, (), tpl.literal_length, tpl, 0, 0
+    head, tail = segs[0], segs[-1]
+    # An empty middle segment (adjacent wildcards) is found everywhere.
+    middles = tuple(seg for seg in segs[1:-1] if seg)
+    return head, tail, middles, tpl.literal_length, tpl, len(head), len(tail)
+
+
 class TemplateCatalog:
     """Ordered template collection; matching tries the most specific template first.
 
@@ -136,7 +164,8 @@ class TemplateCatalog:
     Each template is indexed under one whole literal token (see the module
     docstring): its leading one if it has one, else the one fewest templates
     share. A template without a whole token, such as the catch-all `<*>`,
-    is a candidate for every message.
+    is a candidate for every message. A candidate is verified against its
+    literal segments, as the module docstring describes.
     """
 
     def __init__(self, templates: Iterable[EventTemplate]):
@@ -148,7 +177,7 @@ class TemplateCatalog:
             if tpl.event_id in self.by_id:
                 raise CatalogError(f"duplicate event id {tpl.event_id} in catalog")
             self.by_id[tpl.event_id] = tpl
-        self._fullmatch = [tpl.regex.fullmatch for tpl in self.templates]
+        self._checks = [_segment_check(tpl) for tpl in self.templates]
         keys = [_index_tokens(tpl.segments) for tpl in self.templates]
         shared = Counter(token for _, whole in keys for token in set(whole))
         by_first: dict[str, list[int]] = {}
@@ -170,8 +199,8 @@ class TemplateCatalog:
     def __len__(self) -> int:
         return len(self.templates)
 
-    def match(self, message: str) -> tuple[EventTemplate, tuple[str, ...]] | None:
-        """Return the first (most specific) matching template and its wildcard captures."""
+    def match(self, message: str) -> EventTemplate | None:
+        """Return the first (most specific) template that matches the message, else None."""
         if self._by_inner:
             tokens = message.split()
             ranks = list(self._by_first.get(tokens[0], self._always) if tokens else self._always)
@@ -181,12 +210,29 @@ class TemplateCatalog:
                     ranks += hit
             ranks.sort()
         else:
-            head = message.split(None, 1)
-            ranks = self._by_first.get(head[0], self._always) if head else self._always
+            lead = message.split(None, 1)
+            ranks = self._by_first.get(lead[0], self._always) if lead else self._always
+        checks = self._checks
+        size = len(message)
         for rank in ranks:
-            m = self._fullmatch[rank](message)
-            if m is not None:
-                return self.templates[rank], m.groups()
+            # `pos` starts as the head's length: where the first middle may start.
+            head, tail, middles, length, template, pos, tail_length = checks[rank]
+            if tail is None:
+                if message == head:
+                    return template
+                continue
+            # An empty head or tail (leading or trailing wildcard) needs no call.
+            if size < length or (head and not message.startswith(head)) or (tail and not message.endswith(tail)):
+                continue
+            end = size - tail_length
+            for segment in middles:
+                pos = message.find(segment, pos, end)
+                if pos < 0:
+                    break
+                pos += len(segment)
+            else:
+                if "\n" not in message or message.count("\n") == template.pattern.count("\n"):
+                    return template
         return None
 
 
@@ -500,7 +546,7 @@ class LineParser:
                 seq_ids = (tokens[profile.seq_id_token],)
         elif self.seq_id_re is not None:
             seq_ids = _dedup(self.seq_id_re.findall(line))
-        return ParsedEvent(line_no, matched[0].event_id, timestamp, seq_ids, label)
+        return ParsedEvent(line_no, matched.event_id, timestamp, seq_ids, label)
 
 
 def parse_line(

@@ -214,11 +214,14 @@ def window_spans_naive(n, window, step):
 
 
 def catalog_match_naive(catalog, message):
-    """Try every template in catalog order; the first fullmatch wins."""
+    """Try every template in catalog order; the first whose regex fullmatches wins.
+
+    Each template's regex is built here from its literal segments, joined by
+    non-greedy groups that match anything but a newline.
+    """
     for tpl in catalog.templates:
-        m = tpl.regex.fullmatch(message)
-        if m is not None:
-            return tpl, m.groups()
+        if re.compile("(.*?)".join(map(re.escape, tpl.segments))).fullmatch(message):
+            return tpl
     return None
 
 

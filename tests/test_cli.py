@@ -63,6 +63,29 @@ class TestParseCommand:
         assert all(seconds >= 0 for seconds in manifest["timings_sec"].values())
         assert list(manifest["inputs"]) == [str(synthetic_log_path), str(DATA / "synthetic.templates")]
 
+    def test_manifest_samples_timestamp_errors(self, tmp_path, parsed_events, synthetic_log_path):
+        clean = json.loads((tmp_path / "events.tsv.manifest.json").read_text())
+        assert clean["realized"]["timestamp_error_sample"] == []
+        lines = synthetic_log_path.read_text().splitlines()
+        for line_no in (3, 9):
+            lines[line_no - 1] = "089999" + lines[line_no - 1][6:]
+        log = tmp_path / "bad_stamps.log"
+        log.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "bad.tsv"
+        code = run(
+            "parse",
+            "--profile", "synthetic",
+            "--templates", DATA / "synthetic.templates",
+            "--input", log,
+            "--out", out,
+        )
+        assert code == 0
+        manifest = json.loads((tmp_path / "bad.tsv.manifest.json").read_text())
+        sample = manifest["realized"]["timestamp_error_sample"]
+        assert [entry.split(": ", 1)[0] for entry in sample] == ["3", "9"]
+        assert sample[0].startswith("3: unparseable timestamp '089999 120002': ")
+        assert manifest["warnings"] == ["2 lines had unparseable timestamps"]
+
     def test_unmatched_side_file(self, tmp_path, synthetic_log_path):
         out = tmp_path / "ev.tsv"
         side = tmp_path / "unmatched.log"
@@ -438,6 +461,35 @@ class TestSweepCommand:
         assert code == 2
         assert "timing" in capsys.readouterr().err
         assert not (out_dir / "sweep.csv").exists()
+
+
+@pytest.mark.parametrize(
+    "command, argv",
+    [
+        ("eval", ("--runs", "2", "--jobs", "1")),
+        ("sweep", ()),
+    ],
+)
+def test_unlabeled_sequences_dropped_are_recorded(tmp_path, bundled_corpus_path, command, argv):
+    rows = bundled_corpus_path.read_text().splitlines()
+    for i in range(1, 8):
+        seq_id, _, rest = rows[i].split("\t", 2)
+        rows[i] = f"{seq_id}\t\t{rest}"
+    store = tmp_path / "partly_unlabeled.tsv"
+    store.write_text("\n".join(rows) + "\n")
+    out_dir = tmp_path / command
+    code = run(
+        command,
+        "--input", store,
+        "--detectors", "event,length",
+        "--train-frac", "0.1",
+        *argv,
+        "--out-dir", out_dir,
+    )
+    assert code == 0
+    manifest = json.loads((out_dir / "manifest.json").read_text())
+    assert manifest["realized"]["unlabeled_dropped"] == 7
+    assert manifest["warnings"] == ["dropped 7 unlabeled sequences"]
 
 
 class TestProfilesCommand:

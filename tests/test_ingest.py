@@ -1,10 +1,11 @@
 from __future__ import annotations
 
 import logging
+import re
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oracles import catalog_match_naive, split_line_naive
 
@@ -33,6 +34,7 @@ from logbench.ingest import (
 
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
+BENCHMARKS = Path(__file__).parent.parent / "benchmarks"
 
 HDFS_LINE = (
     "081109 203518 143 INFO dfs.DataNode$DataXceiver: "
@@ -75,8 +77,9 @@ class TestCatalogLoading:
     def test_no_literal_rejected_unless_catchall(self):
         with pytest.raises(CatalogError):
             compile_template(1, "<*><*>")
-        catchall = compile_template(1, "<*>")
-        assert catchall.regex.fullmatch("anything at all")
+        catalog = make_catalog((1, "<*>"))
+        assert catalog.match("anything at all") is catalog.by_id[1]
+        assert catalog.match("") is catalog.by_id[1]
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         f = tmp_path / "c.templates"
@@ -87,24 +90,28 @@ class TestCatalogLoading:
 class TestTemplateMatching:
     def test_most_specific_first(self):
         catalog = make_catalog((1, "Receiving <*>"), (2, "Receiving block <*>"))
-        tpl, _ = catalog.match("Receiving block blk_1")
-        assert tpl.event_id == 2
+        assert catalog.match("Receiving block blk_1").event_id == 2
 
     def test_tie_breaks_to_lowest_id(self):
         catalog = make_catalog((9, "abc <*>"), (3, "abd <*>"))
-        tpl, _ = catalog.match("abc x") or (None, None)
-        assert tpl.event_id == 9
+        assert catalog.match("abc x").event_id == 9
         assert [t.event_id for t in catalog.templates] == [3, 9]
 
     def test_trailing_wildcard_matches_rest(self):
-        catalog = make_catalog((1, "tail <*>"))
-        tpl, groups = catalog.match("tail a b c d")
-        assert groups == ("a b c d",)
+        catalog = make_catalog((1, "tail <*>"), (2, "tail <*> end"))
+        assert catalog.match("tail a b c d") is catalog.by_id[1]
+        assert catalog.match("tail ") is catalog.by_id[1]
+        assert catalog.match("tail a end b") is catalog.by_id[1]
+        assert catalog.match("tail a end") is catalog.by_id[2]
+        assert catalog.match("tail") is None
 
     def test_wildcard_non_greedy_until_literal(self):
         catalog = make_catalog((1, "from <*> to <*>"))
-        _, groups = catalog.match("from x to y")
-        assert groups == ("x", "y")
+        assert catalog.match("from x to y") is catalog.by_id[1]
+        # The last wildcard may hold the literal again ("y to z").
+        assert catalog.match("from x to y to z") is catalog.by_id[1]
+        assert catalog.match("from  to ") is catalog.by_id[1]
+        assert catalog.match("from x y") is None
 
     def test_literal_template_exact_match(self):
         catalog = make_catalog((1, "exact message"))
@@ -233,8 +240,8 @@ def catalog_and_messages(draw):
     return catalog, messages
 
 
-def _hit(result):
-    return None if result is None else (result[0].event_id, result[1])
+def _hit(template):
+    return None if template is None else template.event_id
 
 
 class TestIndexedMatch:
@@ -261,8 +268,8 @@ class TestIndexedMatch:
     )
     def test_edge_cases(self, patterns, message, expected):
         catalog = _catalog_from(patterns)
-        assert _hit(catalog_match_naive(catalog, message))[0] == expected
-        assert _hit(catalog.match(message))[0] == expected
+        assert _hit(catalog_match_naive(catalog, message)) == expected
+        assert _hit(catalog.match(message)) == expected
 
     @settings(max_examples=200, deadline=None)
     @given(st.data())
@@ -282,7 +289,57 @@ class TestIndexedMatch:
             expected = _hit(catalog_match_naive(catalog, message))
             assert _hit(catalog.match(message)) == expected
             event = parser.parse(line)
-            assert (event and event.event_id) == (expected and expected[0])
+            assert (event and event.event_id) == expected
+
+
+# Pieces for templates whose segments overlap, repeat and hold line breaks.
+SEGMENT_PIECES = ["a", "b", "ab", " ", "\n", "\r", "<*>"]
+SEGMENT_FILLS = ["", "a", "b", "ab", "ba", " ", "\n", "\r"]
+
+
+@st.composite
+def segment_cases(draw):
+    """Patterns over a two-letter alphabet and messages near them, the empty one included."""
+    patterns = draw(
+        st.lists(st.lists(st.sampled_from(SEGMENT_PIECES), min_size=1, max_size=6).map("".join), min_size=1, max_size=6)
+    )
+    messages = [""]
+    for _ in range(draw(st.integers(1, 8))):
+        if draw(st.booleans()):
+            segments = draw(st.sampled_from(patterns)).split("<*>")
+            message = segments[0] + "".join(draw(st.sampled_from(SEGMENT_FILLS)) + seg for seg in segments[1:])
+        else:
+            message = "".join(draw(st.lists(st.sampled_from(SEGMENT_FILLS), max_size=6)))
+        messages.append(message)
+    return patterns, messages
+
+
+class TestSegmentMatch:
+    """Segment verification matches what a regex per template matches."""
+
+    @settings(max_examples=500, deadline=None)
+    @given(segment_cases())
+    @example((["ab<*>ba"], ["aba", "abba", "ab ba"]))  # head and tail overlap
+    @example((["a<*>b<*>c", "a<*><*>c"], ["abc", "ac", "abbc"]))  # adjacent segments, adjacent wildcards
+    @example((["a<*>a<*>a", "<*>ab<*>ab"], ["aa", "aaa", "aaaa", "abab", "ab"]))  # repeated segments
+    @example((["a<*>", "<*>", "a\n<*>b"], ["a\n", "a\r", "\n", "\r", "", "a\nb", "a\n\nb"]))  # line breaks
+    def test_matches_regex_oracle(self, case):
+        patterns, messages = case
+        catalog = _catalog_from(patterns)
+        for message in messages:
+            assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message)), (patterns, message)
+
+    def test_loading_the_wide_catalog_compiles_no_regex(self, tmp_path, monkeypatch):
+        monkeypatch.syspath_prepend(str(BENCHMARKS))
+        import generate
+
+        truth = generate.generate("wide-catalog", 1, tmp_path, scale=0.05)
+        compiled = []
+        compile_ = re.compile
+        monkeypatch.setattr(re, "compile", lambda *args, **kwargs: compiled.append(args) or compile_(*args, **kwargs))
+        catalog = load_template_catalog(tmp_path / truth["files"]["templates"])
+        assert len(catalog) == 1000
+        assert compiled == []
 
 
 WHITESPACE = [" ", "  ", "\t", "\x0b", "\x1c", "\u00a0", "\u2003"]
