@@ -7,9 +7,18 @@ digests, realized sample sizes, and timings, so a run can be replayed.
 Each command imports the `logbench` modules it runs inside its own
 function. Every stage of the study is a fresh process per corpus, so what
 this module imports before parsing its arguments is paid once per stage:
-on small corpora, importing all seven modules and the process pool up
-front took as long as the work itself. `parse` loads only `ingest`, and
-`eval` loads the process pool only when it starts one.
+on small corpora, importing all modules and the process pool up front
+took as long as the work itself. Besides `cli` and `errors`, each stage
+loads:
+
+* `parse`: `ingest` (the parser, with `datetime`) and `events`;
+* `group`: `events` and `sequencing`;
+* `stats`: `sequencing` (with `events`) and `stats`;
+* `complexity`: `sequencing` (with `events`) and `complexity`;
+* `eval` and `sweep`: `sequencing` (with `events`), `detectors` and
+  `evaluation`, and the process pool only when they start one.
+
+No stage after `parse` loads `ingest` or `datetime`.
 """
 
 from __future__ import annotations
@@ -26,7 +35,7 @@ from contextlib import contextmanager, nullcontext
 from pathlib import Path
 
 from . import __version__
-from .errors import DetectorNotApplicable, LogbenchError, ValidationError
+from .errors import DetectorNotApplicable, EvalDataError, LogbenchError, ValidationError
 
 LOGGER = logging.getLogger("logbench.cli")
 
@@ -139,6 +148,7 @@ def _manifest_path_for(out: Path, is_dir: bool) -> Path:
 
 def cmd_parse(args: argparse.Namespace) -> int:
     from . import ingest
+    from .events import write_events
 
     source = resolve_input(args.input)
     templates = resolve_input(args.templates) if args.templates else None
@@ -164,7 +174,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
                 source, catalog, profile, report=report, unmatched_sink=unmatched_handle
             )
         with atomic_write(out) as handle:
-            rows = ingest.write_events(events, handle, keep_unidentified=args.keep_unidentified)
+            rows = write_events(events, handle, keep_unidentified=args.keep_unidentified)
 
     if source.is_dir() and profile.label_source == "file-dir":
         labels = ingest.dir_label_map(source, profile)
@@ -201,11 +211,12 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
-    from . import ingest, sequencing
+    from . import sequencing
+    from .events import read_events
 
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    events = ingest.read_events(source)
+    events = read_events(source)
     if args.mode in ("id", "file"):
         greport = sequencing.GroupingReport()
         seqs = sequencing.group_by_identifier(events, report=greport)
@@ -348,19 +359,36 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
+    """The labeled sequences `eval` studies; at event granularity, grouped from a parsed-event store.
+
+    An event-granularity sequence is labeled when each of its events carries
+    a label; the manifest records how many were not (`unlabeled_dropped`).
+    """
     if granularity == "event":
-        from . import ingest, sequencing
+        from . import sequencing
+        from .events import read_events
 
         greport = sequencing.GroupingReport()
-        seqs = sequencing.group_by_identifier(ingest.read_events(source), report=greport)
+        seqs = sequencing.group_by_identifier(read_events(source), report=greport)
         manifest.record("events_total", greport.events_total)
         manifest.record("discarded_no_id", greport.discarded_no_id)
         if greport.discarded_no_id:
             manifest.warn(f"{greport.discarded_no_id} events without a sequence id were discarded")
+        labeled = []
         for seq in seqs:
             if seq.event_labels is not None:
                 sequencing.lift_event_labels(seq)
-        seqs = [s for s in seqs if s.label is not None]
+                labeled.append(seq)
+        dropped = len(seqs) - len(labeled)
+        manifest.record("unlabeled_dropped", dropped)
+        if dropped and not labeled:
+            raise EvalDataError(
+                f"evaluation refused: no sequence of {source} has a label on every event "
+                "(events parsed with a sequence-file profile carry no label)"
+            )
+        if dropped:
+            manifest.warn(f"dropped {dropped} sequences with unlabeled events")
+        seqs = labeled
     else:
         seqs = _load_labeled_sequences(source, manifest)
     manifest.time_stage("load")
@@ -479,7 +507,14 @@ def build_parser() -> argparse.ArgumentParser:
     )
     study.add_argument("--train-frac", type=float, default=0.01, help="normal-class training fraction")
     study.add_argument("--seed", type=int, default=1, help="base RNG seed (sweep uses run 0's split)")
-    study.add_argument("--ecvc-norm", default="mass", choices=["mass", "len"], help="ECVC denominator")
+    study.add_argument(
+        "--ecvc-norm",
+        default="mass",
+        choices=["mass", "len"],
+        help="ECVC denominator: the (idf-)weighted mass, or the larger unweighted length; "
+        "ecvc-idf under len divides a weighted numerator by an unweighted length, so "
+        "vectors sharing no event can score below 1.0",
+    )
     study.add_argument(
         "--ngram-norm",
         default="global-max",

@@ -5,8 +5,11 @@ in [0, 1]; a sequence is flagged iff score > threshold (strict). The
 new-event and length detectors are threshold-free and emit 0/1 scores.
 `fit` builds the whole model and scoring writes no state, so every score
 is a pure function of (model, sequence), and of the batch for `global-max`
-n-grams. Repeats are the study loop's job, so that one place decides which
-sequences score alike: it scores each distinct event tuple once per run.
+n-grams. The study loop scores each distinct event tuple once per run. A
+detector whose score depends on less than the tuple merges the repeats
+left within one `score_batch` call and keeps nothing across calls: `ecvc`
+searches once per distinct count vector, so reorderings of one multiset
+share a search.
 
 Study rows such as `event+length+ecvc` are OR-combinations of these base
 detectors. They are not detectors of their own: the evaluation fits and
@@ -185,6 +188,11 @@ class CountVectorDetector(Detector):
     distance, normalized by the weighted total mass so the score lies in
     [0, 1]; the sequence score is the minimum over the training bank.
     With norm="len" the denominator is the larger unweighted total instead.
+    For ecvc-idf that divides an idf-weighted numerator by an unweighted
+    length, so a bank vector sharing no event with the test vector scores
+    min((W_a + W_b) / max(L_a, L_b), 1.0), below 1.0 whenever the weights
+    are below 1: fitted on [1] and [2, 2] (both idf weights log 2), the
+    empty sequence scores log 2 = 0.693, where mass norm gives 1.0.
 
     `fit` deduplicates the bank and indexes it: `postings` maps each event
     to its (bank index, count) pairs, beside each bank vector's unweighted
@@ -325,6 +333,24 @@ class CountVectorDetector(Detector):
     def score(self, seq):
         cv = to_count_vector(seq)
         return self._nearest_weighted(cv) if self.idf else self._nearest_unweighted(cv)
+
+    def score_batch(self, seqs):
+        """One nearest-neighbour search per distinct count vector of the batch.
+
+        The key is the sorted event tuple, which two sequences share exactly
+        when their count vectors are equal; sorting the events costs a
+        fraction of building `count_vector_key` from a Counter.
+        """
+        nearest = self._nearest_weighted if self.idf else self._nearest_unweighted
+        found: dict[tuple[int, ...], float] = {}
+        scores = []
+        for seq in seqs:
+            key = tuple(sorted(seq.events))
+            score = found.get(key)
+            if score is None:
+                score = found[key] = nearest(to_count_vector(seq))
+            scores.append(score)
+        return scores
 
 
 class NGramDetector(Detector):

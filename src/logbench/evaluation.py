@@ -31,7 +31,7 @@ import time
 from bisect import bisect_right
 from contextlib import ExitStack
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Sequence as PySequence, TextIO
+from typing import Callable, Iterable, NamedTuple, Sequence as PySequence, TextIO
 
 from .detectors import Detector, NewEventTypeDetector, make_detector
 from .errors import DetectorNotApplicable, EvalDataError, ValidationError
@@ -70,8 +70,7 @@ class EvalConfig:
             raise ValidationError("threshold grid must lie within [0, 1]")
 
 
-@dataclass(frozen=True)
-class ConfusionCounts:
+class ConfusionCounts(NamedTuple):
     tp: int
     fp: int
     tn: int
@@ -82,8 +81,7 @@ class ConfusionCounts:
         return self.tp + self.fp + self.tn + self.fn
 
 
-@dataclass(frozen=True)
-class Metrics:
+class Metrics(NamedTuple):
     """Each value is None when its denominator is zero (reported as NA)."""
 
     precision: float | None
@@ -103,11 +101,12 @@ def metrics_from_counts(c: ConfusionCounts) -> Metrics:
     return Metrics(precision, recall, tnr, f1)
 
 
-@dataclass(frozen=True)
-class EvalResult:
+class EvalResult(NamedTuple):
     """Confusion counts and metrics for one (run, detector, threshold) triple.
 
-    threshold is None for threshold-free detectors.
+    threshold is None for threshold-free detectors. The result rows are
+    tuples because a run builds one per grid threshold of each row, and
+    workers send them back pickled.
     """
 
     run: int

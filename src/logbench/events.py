@@ -1,0 +1,141 @@
+"""Labels and the parsed-event store shared by `parse`, `group` and event-granularity `eval`.
+
+This module imports only `errors` and the standard library, so the stages
+after `parse` read parsed events and labels without loading the parser
+(`ingest`) or `datetime`.
+"""
+
+from __future__ import annotations
+
+import csv
+from dataclasses import dataclass
+from pathlib import Path
+from typing import Iterable, Iterator, NamedTuple, TextIO
+
+from .errors import ValidationError
+
+EVENTS_HEADER = ("line_no", "event_id", "timestamp", "seq_id", "label")
+
+
+@dataclass(frozen=True)
+class Label:
+    """Ground-truth class of an event or sequence; anomalies carry a free-form tag."""
+
+    anomalous: bool
+    tag: str = ""
+
+
+NORMAL = Label(False)
+
+
+def parse_label(text: str) -> Label | None:
+    """Parse the serialized label column; empty string means unlabeled.
+
+    Whitespace around the class is ignored; a tag is kept as written.
+    """
+    kind, colon, tag = text.partition(":")
+    kind = kind.strip()
+    if not colon:
+        if not kind:
+            return None
+        if kind == "normal":
+            return NORMAL
+        if kind == "anomalous":
+            return Label(True)
+    elif kind == "anomalous":
+        return Label(True, tag)
+    raise ValidationError(f"unrecognized label value: {text.strip()!r}")
+
+
+def format_label(label: Label | None) -> str:
+    if label is None:
+        return ""
+    if not label.anomalous:
+        return "normal"
+    return f"anomalous:{label.tag}" if label.tag else "anomalous"
+
+
+def store_writers(handle: TextIO) -> tuple:
+    """A tab-separated store's row writer, and one that quotes every field.
+
+    The csv writer quotes a field holding a tab, a quote or a newline, but
+    not a bare carriage return, at which the reader ends the row. A row
+    with a carriage return in a text field goes through the second writer.
+    """
+    return (
+        csv.writer(handle, delimiter="\t", lineterminator="\n"),
+        csv.writer(handle, delimiter="\t", lineterminator="\n", quoting=csv.QUOTE_ALL),
+    )
+
+
+class ParsedEvent(NamedTuple):
+    """One log occurrence after template matching.
+
+    A line mentioning k sequence identifiers yields one event carrying all
+    k ids; replication into k grouped events happens downstream. A tuple,
+    because parse builds one per matched line and group one per store row.
+    """
+
+    line_no: int
+    event_id: int
+    timestamp: float | None
+    seq_ids: tuple[str, ...]
+    label: Label | None = None
+
+
+def write_events(
+    events: Iterable[ParsedEvent],
+    handle: TextIO,
+    *,
+    keep_unidentified: bool = False,
+) -> int:
+    """Write the parsed-event store: one row per (line, seq_id) pair.
+
+    Events without identifiers are skipped unless keep_unidentified, in
+    which case they get a single row with an empty seq_id (needed when the
+    stream will be window-grouped later). Returns the number of rows.
+    """
+    writer, quoted = store_writers(handle)
+    writer.writerow(EVENTS_HEADER)
+    rows = 0
+    for ev in events:
+        ids: Iterable[str] = ev.seq_ids
+        if not ev.seq_ids:
+            if not keep_unidentified:
+                continue
+            ids = ("",)
+        ts = "" if ev.timestamp is None else repr(ev.timestamp)
+        label = format_label(ev.label)
+        for sid in ids:
+            (quoted if "\r" in sid or "\r" in label else writer).writerow(
+                (ev.line_no, ev.event_id, ts, sid, label)
+            )
+            rows += 1
+    return rows
+
+
+def _parse_event_row(row: list[str]) -> ParsedEvent:
+    if len(row) != len(EVENTS_HEADER):
+        raise ValidationError(f"expected {len(EVENTS_HEADER)} columns, got {len(row)}")
+    line_no, event_id, ts, sid, label = row
+    return ParsedEvent(
+        int(line_no),
+        int(event_id),
+        float(ts) if ts else None,
+        (sid,) if sid else (),
+        parse_label(label),
+    )
+
+
+def read_events(path: str | Path) -> Iterator[ParsedEvent]:
+    """Read the parsed-event store back; a malformed row raises ValidationError at path:line."""
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter="\t")
+        for row in reader:
+            if not row or row[0] == EVENTS_HEADER[0]:
+                continue
+            try:
+                event = _parse_event_row(row)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+            yield event

@@ -21,7 +21,7 @@ from __future__ import annotations
 import random
 
 from .errors import ValidationError
-from .ingest import Label, NORMAL
+from .events import Label, NORMAL
 from .sequencing import Sequence
 
 ANOMALY_KINDS = ("new-event", "short-length", "count-shift", "order-swap", "timing-delay")

@@ -5,6 +5,9 @@ A dataset profile describes the per-dataset line conventions (preamble
 fields, timestamp format, sequence identifier extraction, label source).
 Parsing a file yields one ParsedEvent per matched line and an IngestReport
 with exact accounting: matched + unmatched + invalid = total lines.
+`ParsedEvent`, `Label` and the parsed-event store live in `events`, which
+the later stages load without this module; `write_events` and
+`read_events` stay importable from here.
 
 A template is a sequence of literal segments joined by `<*>` wildcards. A
 message matches it when it is those segments in order, with any text
@@ -33,16 +36,17 @@ result is the one a linear scan over the whole catalog gives.
 
 from __future__ import annotations
 
-import csv
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import dataclass, field, fields
 from datetime import datetime, timedelta, timezone
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, TextIO
 
 from .errors import CatalogError, ProfileError, ValidationError
+from .events import NORMAL, Label, ParsedEvent
+from .events import read_events, write_events  # noqa: F401  (the store stays reachable from `ingest`)
 
 LOGGER = logging.getLogger("logbench.ingest")
 
@@ -51,42 +55,7 @@ WILDCARD = "<*>"
 #: Cap on stored per-line error records; totals keep counting past it.
 MAX_ERROR_RECORDS = 1000
 
-EVENTS_HEADER = ("line_no", "event_id", "timestamp", "seq_id", "label")
-
 _TOKEN_RE = re.compile(r"\S+")
-
-
-@dataclass(frozen=True)
-class Label:
-    """Ground-truth class of an event or sequence; anomalies carry a free-form tag."""
-
-    anomalous: bool
-    tag: str = ""
-
-
-NORMAL = Label(False)
-
-
-def parse_label(text: str) -> Label | None:
-    """Parse the serialized label column; empty string means unlabeled."""
-    text = text.strip()
-    if not text:
-        return None
-    if text == "normal":
-        return NORMAL
-    if text == "anomalous":
-        return Label(True)
-    if text.startswith("anomalous:"):
-        return Label(True, text.split(":", 1)[1])
-    raise ValidationError(f"unrecognized label value: {text!r}")
-
-
-def format_label(label: Label | None) -> str:
-    if label is None:
-        return ""
-    if not label.anomalous:
-        return "normal"
-    return f"anomalous:{label.tag}" if label.tag else "anomalous"
 
 
 @dataclass(frozen=True)
@@ -364,21 +333,6 @@ def load_profile(name_or_path: str | Path) -> DatasetProfile:
     )
 
 
-@dataclass(frozen=True)
-class ParsedEvent:
-    """One log occurrence after template matching.
-
-    A line mentioning k sequence identifiers yields one event carrying all
-    k ids; replication into k grouped events happens downstream.
-    """
-
-    line_no: int
-    event_id: int
-    timestamp: float | None
-    seq_ids: tuple[str, ...]
-    label: Label | None = None
-
-
 @dataclass
 class IngestReport:
     """Exact line accounting for one parse pass.
@@ -610,7 +564,7 @@ def parse_file(
                     unmatched_sink.write(raw if raw.endswith("\n") else raw + "\n")
                 continue
             if seq_id is not None:
-                event = replace(event, seq_ids=(seq_id,))
+                event = event._replace(seq_ids=(seq_id,))
             _count_event(report, event)
             yield event
 
@@ -688,59 +642,3 @@ def parse_tree(
         yield from parse_file(
             path, catalog, profile, report=report, seq_id=sid, unmatched_sink=unmatched_sink
         )
-
-
-def write_events(
-    events: Iterable[ParsedEvent],
-    handle: TextIO,
-    *,
-    keep_unidentified: bool = False,
-) -> int:
-    """Write the parsed-event store: one row per (line, seq_id) pair.
-
-    Events without identifiers are skipped unless keep_unidentified, in
-    which case they get a single row with an empty seq_id (needed when the
-    stream will be window-grouped later). Returns the number of rows.
-    """
-    writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
-    writer.writerow(EVENTS_HEADER)
-    rows = 0
-    for ev in events:
-        ids: Iterable[str] = ev.seq_ids
-        if not ev.seq_ids:
-            if not keep_unidentified:
-                continue
-            ids = ("",)
-        ts = "" if ev.timestamp is None else repr(ev.timestamp)
-        label = format_label(ev.label)
-        for sid in ids:
-            writer.writerow((ev.line_no, ev.event_id, ts, sid, label))
-            rows += 1
-    return rows
-
-
-def _parse_event_row(row: list[str]) -> ParsedEvent:
-    if len(row) != len(EVENTS_HEADER):
-        raise ValidationError(f"expected {len(EVENTS_HEADER)} columns, got {len(row)}")
-    line_no, event_id, ts, sid, label = row
-    return ParsedEvent(
-        int(line_no),
-        int(event_id),
-        float(ts) if ts else None,
-        (sid,) if sid else (),
-        parse_label(label),
-    )
-
-
-def read_events(path: str | Path) -> Iterator[ParsedEvent]:
-    """Read the parsed-event store back; a malformed row raises ValidationError at path:line."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        for row in reader:
-            if not row or row[0] == EVENTS_HEADER[0]:
-                continue
-            try:
-                event = _parse_event_row(row)
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-            yield event

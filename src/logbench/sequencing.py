@@ -14,7 +14,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ValidationError
-from .ingest import Label, NORMAL, ParsedEvent, format_label, parse_label
+from .events import Label, NORMAL, ParsedEvent, format_label, parse_label, store_writers
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
@@ -236,7 +236,7 @@ def count_vector_key(cv: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
 
 def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:
     """Write the sequence store: seq_id, label, events, timestamps (tab-separated)."""
-    writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
+    writer, quoted = store_writers(handle)
     writer.writerow(SEQUENCES_HEADER)
     rows = 0
     for seq in seqs:
@@ -245,7 +245,8 @@ def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:
             ts = ""
         else:
             ts = " ".join("-" if t is None else repr(t) for t in seq.timestamps)
-        writer.writerow((seq.seq_id, format_label(seq.label), events, ts))
+        label = format_label(seq.label)
+        (quoted if "\r" in seq.seq_id or "\r" in label else writer).writerow((seq.seq_id, label, events, ts))
         rows += 1
     return rows
 

@@ -9,11 +9,13 @@ from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Iterable
+from typing import TYPE_CHECKING, Iterable
 
 from .errors import ValidationError
-from .ingest import IngestReport
 from .sequencing import Sequence, count_vector_key, pair_deltas, to_count_vector
+
+if TYPE_CHECKING:
+    from .ingest import IngestReport
 
 
 @dataclass(frozen=True)

@@ -8,7 +8,8 @@ import pytest
 sys.path.insert(0, str(Path(__file__).parent))
 
 from logbench.fixtures import event_labeled_corpus
-from logbench.ingest import ParsedEvent, load_profile, load_template_catalog, write_events
+from logbench.events import ParsedEvent, write_events
+from logbench.ingest import load_profile, load_template_catalog
 
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"

@@ -9,14 +9,8 @@ import pytest
 
 from logbench.cli import build_parser, main
 from logbench.detectors import STUDY_DETECTORS
-from logbench.ingest import (
-    ParsedEvent,
-    bundled_profile_names,
-    load_profile,
-    load_profile_file,
-    read_events,
-    write_events,
-)
+from logbench.events import ParsedEvent, read_events, write_events
+from logbench.ingest import bundled_profile_names, load_profile, load_profile_file
 
 DATA = Path(__file__).parent.parent / "src" / "logbench" / "data"
 
@@ -396,6 +390,33 @@ class TestEvalCommand:
         assert manifest["realized"]["events_total"] == len(events) + 40
         assert manifest["realized"]["discarded_no_id"] == 40
         assert manifest["warnings"] == ["40 events without a sequence id were discarded"]
+        assert outputs[0] == outputs[1]
+
+    def test_event_granularity_refuses_a_store_without_event_labels(self, tmp_path, parsed_events, capsys):
+        # the synthetic profile takes its labels from a per-sequence file, so no event has one
+        argv = ("--granularity", "event", "--train-frac", "0.2", "--runs", "1", "--jobs", "1")
+        code = run("eval", "--input", parsed_events, *argv, "--out-dir", tmp_path / "ev")
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "no sequence of" in err and "has a label on every event" in err
+        assert "no anomalies" not in err
+
+    def test_event_granularity_counts_sequences_without_event_labels(self, tmp_path, event_store):
+        events = list(read_events(event_store))
+        mixed = tmp_path / "mixed.tsv"
+        extra = [ParsedEvent(10_000 + i, 1 + i % 3, None, (f"bare-{i % 4}",), None) for i in range(40)]
+        with open(mixed, "w", newline="") as handle:
+            write_events(events + extra, handle)
+        outputs = []
+        for store in (event_store, mixed):
+            out_dir = tmp_path / store.stem
+            argv = ("--granularity", "event", "--train-frac", "0.2", "--runs", "2", "--jobs", "1")
+            assert run("eval", "--input", store, *argv, "--out-dir", out_dir) == 0
+            outputs.append((out_dir / "results.csv").read_bytes())
+        assert json.loads((tmp_path / "events" / "manifest.json").read_text())["realized"]["unlabeled_dropped"] == 0
+        manifest = json.loads((tmp_path / "mixed" / "manifest.json").read_text())
+        assert manifest["realized"]["unlabeled_dropped"] == 4
+        assert manifest["warnings"] == ["dropped 4 sequences with unlabeled events"]
         assert outputs[0] == outputs[1]
 
     def test_event_granularity_identical_for_every_jobs_value(self, tmp_path, event_store):

@@ -22,8 +22,8 @@ from logbench.detectors import (
 )
 from logbench.errors import DetectorNotApplicable, ValidationError
 from logbench.evaluation import THRESHOLD_GRID, EvalConfig, evaluate_study, split
-from logbench.ingest import NORMAL, Label
-from logbench.sequencing import Sequence
+from logbench.events import NORMAL, Label
+from logbench.sequencing import Sequence, to_count_vector
 
 from oracles import (
     ecvc_score_bruteforce,
@@ -194,6 +194,30 @@ class TestEcvc:
         # is one ulp above another's, so only re-scoring near ties is exact
         det = CountVectorDetector(idf=True, norm=norm).fit([seq(t) for t in train])
         assert det.score(seq(probe)).hex() == ecvc_score_bruteforce(det, Counter(probe)).hex()
+
+    @pytest.mark.parametrize("idf", [False, True])
+    def test_batch_searches_once_per_distinct_count_vector(self, idf):
+        det = CountVectorDetector(idf=idf).fit([seq([1, 2]), seq([2, 3, 3])])
+        method = "_nearest_weighted" if idf else "_nearest_unweighted"
+        searched = []
+        search = getattr(det, method)
+        setattr(det, method, lambda cv: searched.append(dict(cv)) or search(cv))
+        batch = [seq(t) for t in ([1, 2, 2], [2, 1, 2], [3], [2, 2, 1], [3], [], [])]
+        scores = det.score_batch(batch)
+        assert searched == [{1: 1, 2: 2}, {3: 1}, {}]
+        # nothing is kept between batches
+        assert det.score_batch(batch[:1]) == scores[:1]
+        assert len(searched) == 4
+        assert scores == [search(to_count_vector(s)) for s in batch]
+
+    def test_idf_len_norm_disjoint_vectors_score_below_one(self):
+        # an idf-weighted numerator over an unweighted length: both weights are log 2
+        det = CountVectorDetector(idf=True, norm="len").fit([seq([1]), seq([2, 2])])
+        assert det.weights == {1: math.log(2), 2: math.log(2)}
+        assert det.score(seq([])) == math.log(2)
+        assert det.score_batch([seq([])]) == [math.log(2)]
+        mass = CountVectorDetector(idf=True).fit([seq([1]), seq([2, 2])])
+        assert mass.score(seq([])) == 1.0
 
     def test_zero_mass_pair_scores_zero(self):
         # event 1 is in every training sequence, so its idf weight is 0

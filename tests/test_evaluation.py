@@ -26,7 +26,7 @@ from logbench.evaluation import (
     split,
 )
 from logbench.fixtures import event_labeled_corpus, synthetic_corpus
-from logbench.ingest import Label, NORMAL
+from logbench.events import Label, NORMAL
 from logbench.sequencing import Sequence, read_sequences
 
 from oracles import combination_scores_naive, confusion_naive

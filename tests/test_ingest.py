@@ -10,6 +10,7 @@ from hypothesis import example, given, settings, strategies as st
 from oracles import catalog_match_naive, split_line_naive
 
 from logbench.errors import CatalogError, ProfileError, ValidationError
+from logbench.events import format_label, parse_label
 from logbench.ingest import (
     DatasetProfile,
     IngestReport,
@@ -19,10 +20,8 @@ from logbench.ingest import (
     ParsedEvent,
     compile_template,
     dir_label_map,
-    format_label,
     load_profile,
     load_template_catalog,
-    parse_label,
     parse_line,
     parse_file,
     parse_timestamp_text,

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from logbench.errors import ValidationError
-from logbench.ingest import Label, NORMAL, ParsedEvent
+from logbench.events import Label, NORMAL, ParsedEvent
 from logbench.sequencing import (
     GroupingReport,
     Sequence,
@@ -221,6 +221,14 @@ class TestSequenceStore:
         assert back[0].timestamps == [1.0, None, 3.5]
         assert back[1].label == Label(True, "net down")
         assert back[2].events == []
+
+    def test_carriage_return_in_text_round_trips(self, tmp_path):
+        seqs = [Sequence("a\rb", [1], None, Label(True, "x\ry")), Sequence("c", [2], None, NORMAL)]
+        path = tmp_path / "seqs.tsv"
+        with open(path, "w", newline="") as handle:
+            write_sequences(seqs, handle)
+        back = read_sequences(path)
+        assert [(s.seq_id, s.label) for s in back] == [("a\rb", Label(True, "x\ry")), ("c", NORMAL)]
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"

@@ -32,6 +32,9 @@ PROBE = (
 
 POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 
+#: What only `parse` needs: the parser and its timestamp conversion.
+PARSER_MODULES = {"logbench.ingest", "datetime"}
+
 
 def fresh_python(cwd: Path, *args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -67,19 +70,28 @@ def test_bare_import_loads_only_cli_and_errors(tmp_path):
     "argv, modules",
     [
         (["parse", "--profile", "synthetic", "--templates", DATA / "synthetic.templates",
-          "--input", DATA / "synthetic.log", "--out", "events.tsv"], {"ingest"}),
+          "--input", DATA / "synthetic.log", "--out", "events.tsv"], {"ingest", "events"}),
+        (["group", "--input", "EVENT_STORE", "--out", "sequences.tsv"], {"events", "sequencing"}),
         (["stats", "--input", DATA / "synthetic_sequences.tsv", "--out-dir", "stats"],
-         {"ingest", "sequencing", "stats"}),
+         {"events", "sequencing", "stats"}),
         (["complexity", "--input", DATA / "synthetic_sequences.tsv", "--out", "complexity.csv"],
-         {"ingest", "sequencing", "complexity"}),
+         {"events", "sequencing", "complexity"}),
+        (["eval", "--input", DATA / "synthetic_sequences.tsv", "--detectors", "event,ecvc,edit,timing",
+          "--train-frac", "0.1", "--runs", "2", "--jobs", "1", "--out-dir", "eval"],
+         {"events", "sequencing", "detectors", "evaluation"}),
     ],
-    ids=["parse", "stats", "complexity"],
+    ids=["parse", "group", "stats", "complexity", "eval-jobs1"],
 )
-def test_command_loads_only_what_it_runs(tmp_path, argv, modules):
+def test_command_loads_only_what_it_runs(tmp_path, event_store, argv, modules):
+    argv = [event_store if a == "EVENT_STORE" else a for a in argv]
     loaded = loaded_modules(tmp_path, *argv)
     expected = {"logbench", "logbench.cli", "logbench.errors"} | {f"logbench.{m}" for m in modules}
     assert logbench_modules(loaded) == expected
     assert not loaded & POOL_MODULES
+    if argv[0] == "parse":
+        assert PARSER_MODULES <= loaded
+    else:
+        assert not loaded & PARSER_MODULES
 
 
 @pytest.mark.parametrize("jobs, runs, pooled", [("1", "2", False), ("2", "2", True)])
@@ -90,6 +102,7 @@ def test_eval_imports_the_pool_only_to_start_one(tmp_path, jobs, runs, pooled):
         "--train-frac", "0.1", "--runs", runs, "--jobs", jobs, "--out-dir", tmp_path / "eval",
     )
     assert modules & POOL_MODULES == (POOL_MODULES if pooled else set())
+    assert not modules & PARSER_MODULES
 
 
 def readme_chain(event_store: Path) -> list[list[str]]:

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, strategies as st
 
 from logbench.errors import ValidationError
-from logbench.ingest import IngestReport, Label, NORMAL
+from logbench.events import Label, NORMAL
+from logbench.ingest import IngestReport
 from logbench.sequencing import Sequence
 from logbench.stats import (
     event_frequency_dist,
