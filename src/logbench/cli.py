@@ -19,11 +19,16 @@ loads:
   `evaluation`, and the process pool only when they start one.
 
 No stage after `parse` loads `ingest` or `datetime`.
+
+Both stores go through `events.read_store` and `events.write_store`.
+`sequencing` labels a grouped sequence from its events when every event
+has a label; `group --labels` replaces that label.
 """
 
 from __future__ import annotations
 
 import argparse
+import csv
 import hashlib
 import json
 import logging
@@ -40,9 +45,6 @@ from .errors import DetectorNotApplicable, EvalDataError, LogbenchError, Validat
 LOGGER = logging.getLogger("logbench.cli")
 
 DATA_DIR_ENV = "LOGBENCH_DATA_DIR"
-
-#: Timestamp errors the parse manifest lists as `<line>: <reason>`; it warns with the full count.
-TIMESTAMP_ERROR_SAMPLE = 10
 
 
 @contextmanager
@@ -180,11 +182,11 @@ def cmd_parse(args: argparse.Namespace) -> int:
         labels = ingest.dir_label_map(source, profile)
         label_path = out.with_name(out.name + ".labels.csv")
         with atomic_write(label_path) as handle:
-            handle.write("seq_id,label\n")
+            writer = csv.writer(handle, lineterminator="\n")
+            writer.writerow(("seq_id", "label"))
             for sid in sorted(labels):
                 lab = labels[sid]
-                value = (lab.tag or "anomaly") if lab.anomalous else "normal"
-                handle.write(f"{sid},{value}\n")
+                writer.writerow((sid, (lab.tag or "anomaly") if lab.anomalous else "normal"))
         print(f"wrote per-file labels to {label_path}")
 
     manifest.time_stage("parse")
@@ -196,8 +198,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     manifest.record("no_id_lines", report.no_id_lines)
     manifest.record("rows_written", rows)
     manifest.record(
-        "timestamp_error_sample",
-        [f"{line_no}: {reason}" for line_no, reason in report.timestamp_errors[:TIMESTAMP_ERROR_SAMPLE]],
+        "timestamp_error_sample", [f"{line_no}: {reason}" for line_no, reason in report.timestamp_errors]
     )
     if report.timestamp_error_count:
         manifest.warn(f"{report.timestamp_error_count} lines had unparseable timestamps")
@@ -227,17 +228,12 @@ def cmd_group(args: argparse.Namespace) -> int:
             raise ValidationError("--window is required for window mode")
         seqs = sequencing.group_by_window(sequencing.dedupe_replicated(events), args.window, args.step)
 
-    labeled_via_events = 0
     if args.labels:
         labels = sequencing.load_label_file(resolve_input(args.labels))
         seqs, unlabeled = sequencing.attach_sequence_labels(seqs, labels)
         manifest.record("unlabeled_excluded", len(unlabeled))
     else:
-        for seq in seqs:
-            if seq.label is None and seq.event_labels is not None:
-                sequencing.lift_event_labels(seq)
-                labeled_via_events += 1
-        manifest.record("labels_lifted_from_events", labeled_via_events)
+        manifest.record("labels_lifted_from_events", sum(1 for seq in seqs if seq.label is not None))
 
     out = Path(args.out)
     with atomic_write(out) as handle:
@@ -374,11 +370,7 @@ def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
         manifest.record("discarded_no_id", greport.discarded_no_id)
         if greport.discarded_no_id:
             manifest.warn(f"{greport.discarded_no_id} events without a sequence id were discarded")
-        labeled = []
-        for seq in seqs:
-            if seq.event_labels is not None:
-                sequencing.lift_event_labels(seq)
-                labeled.append(seq)
+        labeled = [seq for seq in seqs if seq.label is not None]
         dropped = len(seqs) - len(labeled)
         manifest.record("unlabeled_dropped", dropped)
         if dropped and not labeled:

@@ -239,12 +239,11 @@ class CountVectorDetector(Detector):
         self.bank = []
         df: Counter = Counter()
         for seq in train:
-            cv = to_count_vector(seq)
-            df.update(set(cv))
-            key = count_vector_key(cv)
+            df.update(set(seq.events))
+            key = count_vector_key(seq)
             if key not in seen:
                 seen.add(key)
-                self.bank.append(cv)
+                self.bank.append(to_count_vector(seq))
         n = len(train)
         if self.idf:
             self.weights = {e: math.log(n / d) for e, d in df.items()}
@@ -335,17 +334,12 @@ class CountVectorDetector(Detector):
         return self._nearest_weighted(cv) if self.idf else self._nearest_unweighted(cv)
 
     def score_batch(self, seqs):
-        """One nearest-neighbour search per distinct count vector of the batch.
-
-        The key is the sorted event tuple, which two sequences share exactly
-        when their count vectors are equal; sorting the events costs a
-        fraction of building `count_vector_key` from a Counter.
-        """
+        """One nearest-neighbour search per distinct count vector (`count_vector_key`) of the batch."""
         nearest = self._nearest_weighted if self.idf else self._nearest_unweighted
         found: dict[tuple[int, ...], float] = {}
         scores = []
         for seq in seqs:
-            key = tuple(sorted(seq.events))
+            key = count_vector_key(seq)
             score = found.get(key)
             if score is None:
                 score = found[key] = nearest(to_count_vector(seq))

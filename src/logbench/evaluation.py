@@ -53,7 +53,6 @@ class EvalConfig:
     train_fraction: float = 0.01
     repetitions: int = 25
     rng_seed: int = 1
-    threshold_grid: tuple[float, ...] = THRESHOLD_GRID
     granularity: str = "sequence"
 
     def __post_init__(self):
@@ -63,11 +62,6 @@ class EvalConfig:
             raise ValidationError("repetitions must be >= 1")
         if self.granularity not in ("sequence", "event"):
             raise ValidationError(f"unknown granularity: {self.granularity!r}")
-        grid = self.threshold_grid
-        if not grid or any(b <= a for a, b in zip(grid, grid[1:])):
-            raise ValidationError("threshold grid must be strictly increasing")
-        if grid[0] < 0.0 or grid[-1] > 1.0:
-            raise ValidationError("threshold grid must lie within [0, 1]")
 
 
 class ConfusionCounts(NamedTuple):
@@ -213,12 +207,11 @@ def evaluate_run(
     thresholded: bool,
     anomalous: list[bool],
     scores: list[float],
-    threshold_grid: PySequence[float] = THRESHOLD_GRID,
     *,
     run: int = 0,
     train_size: int = 0,
 ) -> RunOutcome:
-    """Derive metrics at every grid threshold from one row's score column.
+    """Derive metrics at every `THRESHOLD_GRID` threshold from one row's score column.
 
     `scores[i]` is the score of a unit whose class is `anomalous[i]`. A
     threshold-free row gets one result at the 0/1 flag cutoff instead of
@@ -228,7 +221,7 @@ def evaluate_run(
     anom = sorted(s for s, a in zip(scores, anomalous) if a)
     norm = sorted(s for s, a in zip(scores, anomalous) if not a)
     if thresholded:
-        for t in threshold_grid:
+        for t in THRESHOLD_GRID:
             counts = _counts_at(anom, norm, t)
             outcome.results.append(
                 EvalResult(run, detector, t, counts, metrics_from_counts(counts))
@@ -276,9 +269,7 @@ def _evaluate_one_run(
             for event, label in zip(seq.events, seq.event_labels):
                 anomalous.append(label.anomalous)
                 scores.append(1.0 if event not in known else 0.0)
-        outcome = evaluate_run(
-            "event", False, anomalous, scores, config.threshold_grid, run=run_index, train_size=len(train)
-        )
+        outcome = evaluate_run("event", False, anomalous, scores, run=run_index, train_size=len(train))
         return [outcome], {}
     anomalous = [seq.label.anomalous for seq in test]
     ids: dict[tuple[int, ...], int] = {}
@@ -303,9 +294,7 @@ def _evaluate_one_run(
             continue
         scores = [max(values) for values in zip(*member_columns)]
         thresholded = any(member.thresholded for member in members)
-        outcome = evaluate_run(
-            name, thresholded, anomalous, scores, config.threshold_grid, run=run_index, train_size=len(train)
-        )
+        outcome = evaluate_run(name, thresholded, anomalous, scores, run=run_index, train_size=len(train))
         outcomes.append(outcome)
         if dump_run0_scores and run_index == 0:
             best = outcome.best

@@ -10,9 +10,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, Iterator, NamedTuple, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
 from .errors import ValidationError
+
+T = TypeVar("T")
 
 EVENTS_HEADER = ("line_no", "event_id", "timestamp", "seq_id", "label")
 
@@ -55,19 +57,6 @@ def format_label(label: Label | None) -> str:
     return f"anomalous:{label.tag}" if label.tag else "anomalous"
 
 
-def store_writers(handle: TextIO) -> tuple:
-    """A tab-separated store's row writer, and one that quotes every field.
-
-    The csv writer quotes a field holding a tab, a quote or a newline, but
-    not a bare carriage return, at which the reader ends the row. A row
-    with a carriage return in a text field goes through the second writer.
-    """
-    return (
-        csv.writer(handle, delimiter="\t", lineterminator="\n"),
-        csv.writer(handle, delimiter="\t", lineterminator="\n", quoting=csv.QUOTE_ALL),
-    )
-
-
 class ParsedEvent(NamedTuple):
     """One log occurrence after template matching.
 
@@ -83,6 +72,46 @@ class ParsedEvent(NamedTuple):
     label: Label | None = None
 
 
+def write_store(handle: TextIO, header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> int:
+    """Write a tab-separated store: the header, then one line per row of text fields.
+
+    Returns the number of rows. The csv writer quotes a field holding a
+    tab, a quote or a newline, but not a bare carriage return, at which the
+    reader ends the row. A row with a carriage return is written with every
+    field quoted.
+    """
+    writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
+    quoted = csv.writer(handle, delimiter="\t", lineterminator="\n", quoting=csv.QUOTE_ALL)
+    writer.writerow(header)
+    n = 0
+    for row in rows:
+        (quoted if "\r" in "".join(row) else writer).writerow(row)
+        n += 1
+    return n
+
+
+def read_store(path: str | Path, header: tuple[str, ...], parse_row: Callable[[list[str]], T]) -> Iterator[T]:
+    """Each row of a tab-separated store through `parse_row`; blank lines are skipped.
+
+    Only line 1 can be the header (its first field is the first column's
+    name), so a later record whose first field is that name is kept. A row
+    with the wrong number of columns, or one `parse_row` rejects with
+    ValueError or ValidationError, raises ValidationError at path:line.
+    """
+    with open(path, encoding="utf-8", newline="") as handle:
+        reader = csv.reader(handle, delimiter="\t")
+        for row in reader:
+            if not row or (row[0] == header[0] and reader.line_num == 1):
+                continue
+            try:
+                if len(row) != len(header):
+                    raise ValidationError(f"expected {len(header)} columns, got {len(row)}")
+                record = parse_row(row)
+            except (ValueError, ValidationError) as exc:
+                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
+            yield record
+
+
 def write_events(
     events: Iterable[ParsedEvent],
     handle: TextIO,
@@ -95,28 +124,23 @@ def write_events(
     which case they get a single row with an empty seq_id (needed when the
     stream will be window-grouped later). Returns the number of rows.
     """
-    writer, quoted = store_writers(handle)
-    writer.writerow(EVENTS_HEADER)
-    rows = 0
-    for ev in events:
-        ids: Iterable[str] = ev.seq_ids
-        if not ev.seq_ids:
-            if not keep_unidentified:
-                continue
-            ids = ("",)
-        ts = "" if ev.timestamp is None else repr(ev.timestamp)
-        label = format_label(ev.label)
-        for sid in ids:
-            (quoted if "\r" in sid or "\r" in label else writer).writerow(
-                (ev.line_no, ev.event_id, ts, sid, label)
-            )
-            rows += 1
-    return rows
+    def rows():
+        for ev in events:
+            ids: Iterable[str] = ev.seq_ids
+            if not ev.seq_ids:
+                if not keep_unidentified:
+                    continue
+                ids = ("",)
+            line_no, event_id = str(ev.line_no), str(ev.event_id)
+            ts = "" if ev.timestamp is None else repr(ev.timestamp)
+            label = format_label(ev.label)
+            for sid in ids:
+                yield (line_no, event_id, ts, sid, label)
+
+    return write_store(handle, EVENTS_HEADER, rows())
 
 
 def _parse_event_row(row: list[str]) -> ParsedEvent:
-    if len(row) != len(EVENTS_HEADER):
-        raise ValidationError(f"expected {len(EVENTS_HEADER)} columns, got {len(row)}")
     line_no, event_id, ts, sid, label = row
     return ParsedEvent(
         int(line_no),
@@ -129,13 +153,4 @@ def _parse_event_row(row: list[str]) -> ParsedEvent:
 
 def read_events(path: str | Path) -> Iterator[ParsedEvent]:
     """Read the parsed-event store back; a malformed row raises ValidationError at path:line."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        for row in reader:
-            if not row or row[0] == EVENTS_HEADER[0]:
-                continue
-            try:
-                event = _parse_event_row(row)
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-            yield event
+    return read_store(path, EVENTS_HEADER, _parse_event_row)

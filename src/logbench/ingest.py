@@ -52,8 +52,9 @@ LOGGER = logging.getLogger("logbench.ingest")
 
 WILDCARD = "<*>"
 
-#: Cap on stored per-line error records; totals keep counting past it.
-MAX_ERROR_RECORDS = 1000
+#: Timestamp errors an IngestReport keeps as (line, reason), the first ones
+#: met; `timestamp_error_count` counts them all.
+TIMESTAMP_ERROR_SAMPLE = 10
 
 _TOKEN_RE = re.compile(r"\S+")
 
@@ -65,10 +66,6 @@ class EventTemplate:
     event_id: int
     pattern: str
     segments: tuple[str, ...]
-
-    @property
-    def n_wildcards(self) -> int:
-        return len(self.segments) - 1
 
     @property
     def literal_length(self) -> int:
@@ -353,7 +350,7 @@ class IngestReport:
 
     def add_timestamp_error(self, line_no: int, reason: str) -> None:
         self.timestamp_error_count += 1
-        if len(self.timestamp_errors) < MAX_ERROR_RECORDS:
+        if len(self.timestamp_errors) < TIMESTAMP_ERROR_SAMPLE:
             self.timestamp_errors.append((line_no, reason))
 
 
@@ -478,7 +475,11 @@ class LineParser:
     def parse(
         self, line: str, line_no: int = 1, report: IngestReport | None = None
     ) -> ParsedEvent | None:
-        """Match one line; None when no template matches. See `parse_line`."""
+        """Match one line; None when no template matches.
+
+        Matching never throws: an unparseable timestamp yields an event with
+        timestamp None plus an error record on `report`.
+        """
         profile = self.profile
         tokens, message = self.split(line)
         matched = self.catalog.match(message)
@@ -501,23 +502,6 @@ class LineParser:
         elif self.seq_id_re is not None:
             seq_ids = _dedup(self.seq_id_re.findall(line))
         return ParsedEvent(line_no, matched.event_id, timestamp, seq_ids, label)
-
-
-def parse_line(
-    line: str,
-    catalog: TemplateCatalog,
-    profile: DatasetProfile,
-    *,
-    line_no: int = 1,
-    report: IngestReport | None = None,
-) -> ParsedEvent | None:
-    """Match one line against the catalog; returns None when no template matches.
-
-    Matching never throws: an unparseable timestamp yields an event with
-    timestamp None plus an error record on the report. Each call builds a
-    `LineParser`; `parse_file` builds one per file.
-    """
-    return LineParser(catalog, profile).parse(line, line_no, report)
 
 
 def _count_event(report: IngestReport, event: ParsedEvent) -> None:

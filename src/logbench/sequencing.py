@@ -9,19 +9,16 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ValidationError
-from .events import Label, NORMAL, ParsedEvent, format_label, parse_label, store_writers
+from .events import Label, NORMAL, ParsedEvent, format_label, parse_label, read_store, write_store
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
 SEQUENCES_HEADER = ("seq_id", "label", "events", "timestamps")
-
-#: CountVector: per-sequence event multiset as event_id -> occurrence count.
-CountVector = Counter
 
 
 @dataclass
@@ -53,10 +50,18 @@ class GroupingReport:
 
 
 def _finalize(seq: Sequence) -> Sequence:
+    """Drop all-None timestamps; lift the event labels when every event has one, else drop them.
+
+    This is the one place where a grouped sequence gets its label from its
+    events.
+    """
     if seq.timestamps is not None and all(t is None for t in seq.timestamps):
         seq.timestamps = None
-    if seq.event_labels is not None and any(l is None for l in seq.event_labels):
-        seq.event_labels = None
+    if seq.event_labels is not None:
+        if any(l is None for l in seq.event_labels):
+            seq.event_labels = None
+        else:
+            lift_event_labels(seq)
     return seq
 
 
@@ -66,7 +71,8 @@ def group_by_identifier(
     """One sequence per distinct identifier; an event with k ids joins k sequences.
 
     Events without identifiers are counted as discarded, never silently
-    dropped. Sequences come out in order of first identifier appearance.
+    dropped. Sequences come out in order of first identifier appearance. A
+    sequence whose events all carry a label gets the lifted label.
     """
     if report is None:
         report = GroupingReport()
@@ -120,7 +126,8 @@ def group_by_window(
     Windows start at multiples of `step`; all full windows are emitted,
     followed by the next start's partial window when it holds events no
     full window covers. A stream no longer than the window thus yields
-    itself as the single sequence.
+    itself as the single sequence. A window whose events all carry a label
+    gets the lifted label.
     """
     if window_size < 1:
         raise ValidationError("window_size must be >= 1")
@@ -141,23 +148,13 @@ def group_by_window(
             [ev.timestamp for ev in chunk],
             event_labels=[ev.label for ev in chunk],
         )
-        _finalize(seq)
-        if seq.event_labels is not None:
-            lift_event_labels(seq)
-        out.append(seq)
+        out.append(_finalize(seq))
     return out
 
 
 def lift_event_labels(seq: Sequence) -> Sequence:
-    """Label the sequence anomalous iff any event is; tag comes from the first one."""
-    if not seq.events:
-        LOGGER.warning("sequence %s is empty; labeling as normal (degenerate)", seq.seq_id)
-        seq.label = NORMAL
-        return seq
-    if seq.event_labels is None:
-        raise ValidationError(f"sequence {seq.seq_id} has no per-event labels to lift")
-    first = next((l for l in seq.event_labels if l.anomalous), None)
-    seq.label = Label(True, first.tag) if first is not None else NORMAL
+    """Label the sequence with its first anomalous event label, else normal (also when it is empty)."""
+    seq.label = next((l for l in seq.event_labels if l.anomalous), NORMAL)
     return seq
 
 
@@ -224,36 +221,32 @@ def load_label_file(path: str | Path) -> dict[str, Label]:
     return labels
 
 
-def to_count_vector(seq: Sequence) -> CountVector:
+def to_count_vector(seq: Sequence) -> Counter:
     """Event multiset of a sequence; order-invariant by construction."""
     return Counter(seq.events)
 
 
-def count_vector_key(cv: Mapping[int, int]) -> tuple[tuple[int, int], ...]:
-    """Hashable canonical form of a count vector (zero entries dropped)."""
-    return tuple(sorted((e, c) for e, c in cv.items() if c))
+def count_vector_key(seq: Sequence) -> tuple[int, ...]:
+    """The sorted event tuple: two sequences share it exactly when their count vectors are equal."""
+    return tuple(sorted(seq.events))
 
 
 def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:
     """Write the sequence store: seq_id, label, events, timestamps (tab-separated)."""
-    writer, quoted = store_writers(handle)
-    writer.writerow(SEQUENCES_HEADER)
-    rows = 0
-    for seq in seqs:
-        events = " ".join(str(e) for e in seq.events)
+
+    def timestamps(seq: Sequence) -> str:
         if seq.timestamps is None:
-            ts = ""
-        else:
-            ts = " ".join("-" if t is None else repr(t) for t in seq.timestamps)
-        label = format_label(seq.label)
-        (quoted if "\r" in seq.seq_id or "\r" in label else writer).writerow((seq.seq_id, label, events, ts))
-        rows += 1
-    return rows
+            return ""
+        return " ".join("-" if t is None else repr(t) for t in seq.timestamps)
+
+    return write_store(
+        handle,
+        SEQUENCES_HEADER,
+        ((seq.seq_id, format_label(seq.label), " ".join(map(str, seq.events)), timestamps(seq)) for seq in seqs),
+    )
 
 
 def _parse_sequence_row(row: list[str]) -> Sequence:
-    if len(row) != len(SEQUENCES_HEADER):
-        raise ValidationError(f"expected {len(SEQUENCES_HEADER)} columns, got {len(row)}")
     sid, label, events, ts = row
     seq = Sequence(
         sid,
@@ -268,14 +261,4 @@ def _parse_sequence_row(row: list[str]) -> Sequence:
 
 def read_sequences(path: str | Path) -> list[Sequence]:
     """Read the sequence store back; a malformed row raises ValidationError at path:line."""
-    out = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter="\t")
-        for row in reader:
-            if not row or row[0] == SEQUENCES_HEADER[0]:
-                continue
-            try:
-                out.append(_parse_sequence_row(row))
-            except (ValueError, ValidationError) as exc:
-                raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
-    return out
+    return list(read_store(path, SEQUENCES_HEADER, _parse_sequence_row))

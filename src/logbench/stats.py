@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Iterable
 
 from .errors import ValidationError
-from .sequencing import Sequence, count_vector_key, pair_deltas, to_count_vector
+from .sequencing import Sequence, count_vector_key, pair_deltas
 
 if TYPE_CHECKING:
     from .ingest import IngestReport
@@ -78,8 +78,8 @@ def summarize(seqs: list[Sequence], ingest_report: IngestReport | None = None) -
     uniq_normal = set(seq_keys_normal)
     uniq_anom = set(seq_keys_anom)
 
-    cv_keys_normal = [count_vector_key(to_count_vector(s)) for s in normal]
-    cv_keys_anom = [count_vector_key(to_count_vector(s)) for s in anom]
+    cv_keys_normal = [count_vector_key(s) for s in normal]
+    cv_keys_anom = [count_vector_key(s) for s in anom]
     uniq_cv_normal = set(cv_keys_normal)
     uniq_cv_anom = set(cv_keys_anom)
 

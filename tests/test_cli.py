@@ -172,6 +172,46 @@ class TestGroupCommand:
         assert code == 0
         assert out.exists()
 
+    @pytest.mark.parametrize("mode", ["id", "window"])
+    def test_labels_lifted_from_events_in_every_mode(self, tmp_path, event_store, mode):
+        out = tmp_path / "seqs.tsv"
+        code = run("group", "--input", event_store, "--mode", mode, "--window", "10", "--step", "10", "--out", out)
+        assert code == 0
+        manifest = json.loads((tmp_path / "seqs.tsv.manifest.json").read_text())
+        rows = out.read_text().splitlines()[1:]
+        assert manifest["realized"]["labels_lifted_from_events"] == len(rows) > 0
+        assert all(row.split("\t")[1] for row in rows)
+
+    def test_file_mode_with_the_parse_label_side_file(self, tmp_path):
+        tree = tmp_path / "adfa"
+        files = {
+            "Training_Data_Master/UTD-1.txt": "1 2 3\n",
+            "normal/a,b.txt": "4 5\n",
+            "Attack_Data_Master/Hydra_FTP_1/UAD-1.txt": "6\n",
+        }
+        for rel, text in files.items():
+            (tree / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tree / rel).write_text(text)
+        events = tmp_path / "events.tsv"
+        assert run("parse", "--profile", "adfa", "--input", tree, "--out", events) == 0
+        side = tmp_path / "events.tsv.labels.csv"
+        assert side.read_text() == (
+            "seq_id,label\n"
+            "Attack_Data_Master/Hydra_FTP_1/UAD-1.txt,Hydra_FTP\n"
+            "Training_Data_Master/UTD-1.txt,normal\n"
+            '"normal/a,b.txt",normal\n'
+        )
+        out = tmp_path / "seqs.tsv"
+        assert run("group", "--input", events, "--mode", "file", "--labels", side, "--out", out) == 0
+        manifest = json.loads((tmp_path / "seqs.tsv.manifest.json").read_text())
+        assert manifest["realized"]["unlabeled_excluded"] == 0
+        rows = [row.split("\t")[:3] for row in out.read_text().splitlines()[1:]]
+        assert sorted(rows) == [
+            ["Attack_Data_Master/Hydra_FTP_1/UAD-1.txt", "anomalous:Hydra_FTP", "6"],
+            ["Training_Data_Master/UTD-1.txt", "normal", "1 2 3"],
+            ["normal/a,b.txt", "normal", "4 5"],
+        ]
+
     def test_window_mode_requires_window(self, tmp_path, parsed_events):
         code = run("group", "--input", parsed_events, "--mode", "window", "--out", tmp_path / "w.tsv")
         assert code != 0

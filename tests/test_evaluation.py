@@ -79,7 +79,6 @@ class TestConfig:
         config = EvalConfig()
         assert config.train_fraction == 0.01
         assert config.repetitions == 25
-        assert config.threshold_grid == THRESHOLD_GRID
         assert len(THRESHOLD_GRID) == 101
 
     def test_invalid_fraction(self):
@@ -87,10 +86,6 @@ class TestConfig:
             EvalConfig(train_fraction=1.5)
         with pytest.raises(ValidationError):
             EvalConfig(train_fraction=0.0)
-
-    def test_grid_must_increase(self):
-        with pytest.raises(ValidationError):
-            EvalConfig(threshold_grid=(0.0, 0.5, 0.5))
 
 
 class TestMetrics:

@@ -22,7 +22,6 @@ from logbench.ingest import (
     dir_label_map,
     load_profile,
     load_template_catalog,
-    parse_line,
     parse_file,
     parse_timestamp_text,
     parse_tree,
@@ -51,7 +50,7 @@ class TestCatalogLoading:
         f.write_text("5\tReceiving block <*> src: <*> dest: <*>\n")
         catalog = load_template_catalog(f)
         assert len(catalog) == 1
-        assert catalog.by_id[5].n_wildcards == 3
+        assert len(catalog.by_id[5].segments) - 1 == 3
 
     def test_empty_file_warns(self, tmp_path, caplog):
         f = tmp_path / "empty.templates"
@@ -129,7 +128,7 @@ class TestParseLine:
             timestamp_pattern=r"^(\d{6} \d{6})",
             timestamp_format="%y%m%d %H%M%S",
         )
-        ev = parse_line(HDFS_LINE, catalog, profile)
+        ev = LineParser(catalog, profile).parse(HDFS_LINE)
         assert ev is not None
         assert ev.event_id == 5
         assert ev.seq_ids == ("blk_123",)
@@ -137,18 +136,18 @@ class TestParseLine:
 
     def test_no_match_returns_none(self, synthetic_profile, synthetic_catalog):
         assert (
-            parse_line("080109 120000 1 INFO x: nothing matches this", synthetic_catalog, synthetic_profile)
+            LineParser(synthetic_catalog, synthetic_profile).parse("080109 120000 1 INFO x: nothing matches this")
             is None
         )
 
     def test_dual_identifier_line(self, synthetic_profile, synthetic_catalog):
         line = "080109 120000 1 INFO store.Mirror: Mirroring blk_1 into blk_2"
-        ev = parse_line(line, synthetic_catalog, synthetic_profile)
+        ev = LineParser(synthetic_catalog, synthetic_profile).parse(line)
         assert ev.seq_ids == ("blk_1", "blk_2")
 
     def test_duplicate_ids_in_line_deduped(self, synthetic_profile, synthetic_catalog):
         line = "080109 120000 1 INFO store.Mirror: Mirroring blk_1 into blk_1"
-        ev = parse_line(line, synthetic_catalog, synthetic_profile)
+        ev = LineParser(synthetic_catalog, synthetic_profile).parse(line)
         assert ev.seq_ids == ("blk_1",)
 
     def test_unparseable_timestamp_recorded_not_raised(self, synthetic_catalog):
@@ -162,15 +161,15 @@ class TestParseLine:
         )
         report = IngestReport()
         line = "BADDATE BADTIME 1 INFO store.Writer: Starting transfer for blk_1"
-        ev = parse_line(line, synthetic_catalog, profile, line_no=3, report=report)
+        ev = LineParser(synthetic_catalog, profile).parse(line, 3, report)
         assert ev is not None
         assert ev.timestamp is None
         assert report.timestamp_error_count == 1
         assert report.timestamp_errors[0][0] == 3
 
     def test_matching_is_deterministic(self, synthetic_profile, synthetic_catalog):
-        first = parse_line(HDFS_LINE, synthetic_catalog, synthetic_profile)
-        second = parse_line(HDFS_LINE, synthetic_catalog, synthetic_profile)
+        first = LineParser(synthetic_catalog, synthetic_profile).parse(HDFS_LINE)
+        second = LineParser(synthetic_catalog, synthetic_profile).parse(HDFS_LINE)
         assert first == second
 
     def test_empty_catalog_rejected(self, synthetic_profile, tmp_path):
@@ -178,7 +177,7 @@ class TestParseLine:
         f.write_text("")
         catalog = load_template_catalog(f)
         with pytest.raises(ValidationError):
-            parse_line("x", catalog, synthetic_profile)
+            LineParser(catalog, synthetic_profile).parse("x")
 
     def test_event_marker_label(self):
         catalog = make_catalog((1, "core error <*>"))
@@ -189,8 +188,8 @@ class TestParseLine:
             label_token=0,
             normal_marker="-",
         )
-        normal = parse_line("- 123 core error x", catalog, profile)
-        anom = parse_line("KERNDTLB 123 core error x", catalog, profile)
+        normal = LineParser(catalog, profile).parse("- 123 core error x")
+        anom = LineParser(catalog, profile).parse("KERNDTLB 123 core error x")
         assert normal.label == NORMAL
         assert anom.label == Label(True, "KERNDTLB")
 
@@ -276,7 +275,8 @@ class TestIndexedMatch:
         catalog = load_template_catalog(DATA / "hdfs.templates")
         assert {2, 4, 12, 16, 17} <= {t.event_id for t in catalog.templates if t.pattern.startswith("<*>")}
         tpl = data.draw(st.sampled_from(catalog.templates))
-        fills = data.draw(st.lists(st.sampled_from(FILLS), min_size=tpl.n_wildcards, max_size=tpl.n_wildcards))
+        n_wildcards = len(tpl.segments) - 1
+        fills = data.draw(st.lists(st.sampled_from(FILLS), min_size=n_wildcards, max_size=n_wildcards))
         message = tpl.segments[0] + "".join(f + seg for f, seg in zip(fills, tpl.segments[1:]))
         assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message))
 
@@ -397,7 +397,7 @@ class TestTimestampMemo:
 
         line_report = IngestReport()
         for line_no, line in enumerate(log.read_text().splitlines(), 1):
-            expected = parse_line(line, catalog, self.PROFILE, line_no=line_no, report=line_report)
+            expected = LineParser(catalog, self.PROFILE).parse(line, line_no, line_report)
             assert events[line_no - 1] == expected
         assert memo_report.timestamp_errors == line_report.timestamp_errors
         assert [n for n, _ in memo_report.timestamp_errors] == [4, 5, 7, 8]
@@ -589,7 +589,7 @@ class TestProfiles:
             base_year=2005,
         )
         catalog = make_catalog((1, "session closed <*>"))
-        ev = parse_line("Nov  9 12:01:01 session closed for root", catalog, profile)
+        ev = LineParser(catalog, profile).parse("Nov  9 12:01:01 session closed for root")
         import datetime
 
         dt = datetime.datetime.fromtimestamp(ev.timestamp, datetime.timezone.utc)
@@ -608,5 +608,5 @@ def test_replication_identity(ids):
     )
     catalog = make_catalog((1, "touch <*>"))
     line = "touch " + " ".join(ids)
-    ev = parse_line(line, catalog, profile)
+    ev = LineParser(catalog, profile).parse(line)
     assert len(ev.seq_ids) == len(ids)

@@ -36,7 +36,6 @@ from logbench.ingest import (
 from logbench.sequencing import (
     attach_sequence_labels,
     group_by_identifier,
-    lift_event_labels,
     load_label_file,
     read_sequences,
     write_sequences,
@@ -87,9 +86,6 @@ def _bgl_sequences():
     catalog = load_template_catalog(templates)
     report = IngestReport()
     seqs = group_by_identifier(parse_file(log, catalog, profile, report=report))
-    for seq in seqs:
-        if seq.event_labels is not None:
-            lift_event_labels(seq)
     seqs = [s for s in seqs if s.label is not None]
     if not cache.exists():
         with open(cache, "w", newline="") as handle:

@@ -68,6 +68,16 @@ class TestGroupByIdentifier:
         assert seq.timestamps == [1.0, 2.0]
         assert seq.event_labels == [NORMAL, Label(True, "x")]
 
+    def test_label_lifted_when_every_event_has_one(self):
+        events = [ev(1, 3, ["a"], label=NORMAL), ev(2, 4, ["a", "b"], label=Label(True, "x"))]
+        a, b = group_by_identifier(events)
+        assert (a.label, b.label) == (Label(True, "x"), Label(True, "x"))
+
+    def test_no_label_when_an_event_has_none(self):
+        (seq,) = group_by_identifier([ev(1, 3, ["a"], label=Label(True, "x")), ev(2, 4, ["a"])])
+        assert seq.label is None
+        assert seq.event_labels is None
+
 
 class TestGroupByWindow:
     def test_window5_step2_over_7_events(self):
@@ -193,9 +203,18 @@ class TestCountVector:
         assert cv.total() == 0
 
     def test_key_is_canonical(self):
-        a = to_count_vector(Sequence("s", [1, 2, 2]))
-        b = to_count_vector(Sequence("s", [2, 1, 2]))
-        assert count_vector_key(a) == count_vector_key(b) == ((1, 1), (2, 2))
+        a = Sequence("s", [1, 2, 2])
+        b = Sequence("s", [2, 1, 2])
+        assert count_vector_key(a) == count_vector_key(b) == (1, 2, 2)
+
+
+@given(
+    st.lists(st.integers(min_value=1, max_value=4), max_size=8),
+    st.lists(st.integers(min_value=1, max_value=4), max_size=8),
+)
+def test_count_vector_key_equal_iff_count_vectors_equal(a, b):
+    a, b = Sequence("a", a), Sequence("b", b)
+    assert (count_vector_key(a) == count_vector_key(b)) == (to_count_vector(a) == to_count_vector(b))
 
 
 @given(st.lists(st.integers(min_value=1, max_value=9), max_size=20), st.randoms())
@@ -229,6 +248,13 @@ class TestSequenceStore:
             write_sequences(seqs, handle)
         back = read_sequences(path)
         assert [(s.seq_id, s.label) for s in back] == [("a\rb", Label(True, "x\ry")), ("c", NORMAL)]
+
+    def test_sequence_named_like_the_header_column_is_kept(self, tmp_path):
+        seqs = [Sequence(sid, [i], None, NORMAL) for i, sid in enumerate(["a", "seq_id", "b"])]
+        path = tmp_path / "seqs.tsv"
+        with open(path, "w", newline="") as handle:
+            assert write_sequences(seqs, handle) == 3
+        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("a", [0]), ("seq_id", [1]), ("b", [2])]
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
