@@ -11,14 +11,19 @@ on small corpora, importing all modules and the process pool up front
 took as long as the work itself. Besides `cli` and `errors`, each stage
 loads:
 
-* `parse`: `ingest` (the parser, with `datetime`) and `events`;
+* `parse`: `ingest` (the parser) and `events`, and `datetime` only when
+  the profile's timestamps need `strptime` (an epoch profile such as `bgl`
+  does not);
 * `group`: `events` and `sequencing`;
 * `stats`: `sequencing` (with `events`) and `stats`;
 * `complexity`: `sequencing` (with `events`) and `complexity`;
 * `eval` and `sweep`: `sequencing` (with `events`), `detectors` and
   `evaluation`, and the process pool only when they start one.
 
-No stage after `parse` loads `ingest` or `datetime`.
+No stage after `parse` loads `ingest` or `datetime`. No stage loads the
+record-class machinery of the standard library (`inspect`, `ast`, `dis`):
+the records are `NamedTuple`s, or `__slots__` classes where a stage
+updates them in place.
 
 Both stores go through `events.read_store` and `events.write_store`.
 `sequencing` labels a grouped sequence from its events when every event
@@ -468,7 +473,7 @@ def cmd_profiles(args: argparse.Namespace) -> int:
             print(name)
         return 0
     profile = ingest.load_profile(args.name)
-    for key, value in sorted(vars(profile).items()):
+    for key, value in sorted(profile._asdict().items()):
         if value is not None:
             print(f"{key} = {value}")
     return 0

@@ -4,8 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
-from dataclasses import dataclass
-from typing import Iterable, Sequence as PySequence
+from typing import Iterable, NamedTuple, Sequence as PySequence
 
 from .errors import ValidationError
 from .sequencing import Sequence
@@ -13,8 +12,7 @@ from .sequencing import Sequence
 DEFAULT_ENTROPY_NS = tuple(range(1, 11))
 
 
-@dataclass(frozen=True)
-class EntropyEntry:
+class EntropyEntry(NamedTuple):
     """Shannon entropy of the pooled n-gram distribution for one window size.
 
     normalized_entropy divides by log2(distinct n-grams), the maximum
@@ -67,8 +65,7 @@ def entropy_report(
     return [ngram_entropy(seqs, n) for n in ns]
 
 
-@dataclass(frozen=True)
-class LZCurve:
+class LZCurve(NamedTuple):
     """Cumulative phrase count sampled after each consecutively processed sequence."""
 
     points: tuple[tuple[int, int], ...]

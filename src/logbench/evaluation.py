@@ -30,7 +30,6 @@ import statistics
 import time
 from bisect import bisect_right
 from contextlib import ExitStack
-from dataclasses import dataclass, field
 from typing import Callable, Iterable, NamedTuple, Sequence as PySequence, TextIO
 
 from .detectors import Detector, NewEventTypeDetector, make_detector
@@ -46,22 +45,37 @@ THRESHOLD_GRID = tuple(i / 100 for i in range(101))
 FLAG_CUTOFF = 0.5
 
 
-@dataclass(frozen=True)
-class EvalConfig:
-    """Study parameters; defaults follow the 1%-sample, 25-run protocol."""
-
+class _EvalConfigFields(NamedTuple):
     train_fraction: float = 0.01
     repetitions: int = 25
     rng_seed: int = 1
     granularity: str = "sequence"
 
-    def __post_init__(self):
+
+class EvalConfig(_EvalConfigFields):
+    """Study parameters; defaults follow the 1%-sample, 25-run protocol.
+
+    Built from the fields of `_EvalConfigFields`, positionally or by name;
+    construction and `_replace` both raise ValidationError for an invalid
+    configuration.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    def _replace(self, **changes) -> EvalConfig:
+        return super()._replace(**changes)._checked()
+
+    def _checked(self) -> EvalConfig:
         if not 0.0 < self.train_fraction < 1.0:
             raise ValidationError("train_fraction must lie strictly between 0 and 1")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
         if self.granularity not in ("sequence", "event"):
             raise ValidationError(f"unknown granularity: {self.granularity!r}")
+        return self
 
 
 class ConfusionCounts(NamedTuple):
@@ -110,20 +124,29 @@ class EvalResult(NamedTuple):
     metrics: Metrics
 
 
-@dataclass
 class RunOutcome:
     """Everything produced by one detector on one run."""
 
-    run: int
-    detector: str
-    train_size: int
-    results: list[EvalResult] = field(default_factory=list)
-    best: EvalResult | None = None
-    not_applicable: bool = False
+    __slots__ = ("run", "detector", "train_size", "results", "best", "not_applicable")
+
+    def __init__(
+        self,
+        run: int,
+        detector: str,
+        train_size: int,
+        results: list[EvalResult] | None = None,
+        best: EvalResult | None = None,
+        not_applicable: bool = False,
+    ):
+        self.run = run
+        self.detector = detector
+        self.train_size = train_size
+        self.results = [] if results is None else results
+        self.best = best
+        self.not_applicable = not_applicable
 
 
-@dataclass(frozen=True)
-class DetectorSummary:
+class DetectorSummary(NamedTuple):
     """Across-run aggregate of per-run best F1 scores."""
 
     detector: str
@@ -138,14 +161,24 @@ class DetectorSummary:
 ScoreDump = dict[str, list[tuple[str, float, bool, str]]]
 
 
-@dataclass
 class StudyReport:
-    granularity: str
-    outcomes: list[RunOutcome]
-    summaries: list[DetectorSummary]
-    warnings: list[str]
-    train_sizes: list[int]
-    score_dump: ScoreDump = field(default_factory=dict)
+    __slots__ = ("granularity", "outcomes", "summaries", "warnings", "train_sizes", "score_dump")
+
+    def __init__(
+        self,
+        granularity: str,
+        outcomes: list[RunOutcome],
+        summaries: list[DetectorSummary],
+        warnings: list[str],
+        train_sizes: list[int],
+        score_dump: ScoreDump | None = None,
+    ):
+        self.granularity = granularity
+        self.outcomes = outcomes
+        self.summaries = summaries
+        self.warnings = warnings
+        self.train_sizes = train_sizes
+        self.score_dump = {} if score_dump is None else score_dump
 
     def results(self) -> Iterable[EvalResult]:
         for outcome in self.outcomes:

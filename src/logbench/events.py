@@ -8,7 +8,7 @@ after `parse` read parsed events and labels without loading the parser
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
@@ -19,8 +19,7 @@ T = TypeVar("T")
 EVENTS_HEADER = ("line_no", "event_id", "timestamp", "seq_id", "label")
 
 
-@dataclass(frozen=True)
-class Label:
+class Label(NamedTuple):
     """Ground-truth class of an event or sequence; anomalies carry a free-form tag."""
 
     anomalous: bool
@@ -75,17 +74,28 @@ class ParsedEvent(NamedTuple):
 def write_store(handle: TextIO, header: tuple[str, ...], rows: Iterable[tuple[str, ...]]) -> int:
     """Write a tab-separated store: the header, then one line per row of text fields.
 
-    Returns the number of rows. The csv writer quotes a field holding a
-    tab, a quote or a newline, but not a bare carriage return, at which the
-    reader ends the row. A row with a carriage return is written with every
-    field quoted.
+    Returns the number of rows. A row that the csv writer would write
+    unquoted is written as its fields joined by tabs: one with no tab inside
+    a field and no quote, newline, carriage return or NUL. Every other row
+    goes through the csv writer, which quotes a field holding a tab, a quote
+    or a newline, but not a bare carriage return, at which the reader ends
+    the row; a row with a carriage return is written with every field
+    quoted.
     """
     writer = csv.writer(handle, delimiter="\t", lineterminator="\n")
     quoted = csv.writer(handle, delimiter="\t", lineterminator="\n", quoting=csv.QUOTE_ALL)
     writer.writerow(header)
+    write = handle.write
     n = 0
     for row in rows:
-        (quoted if "\r" in "".join(row) else writer).writerow(row)
+        line = "\t".join(row)
+        if (
+            '"' in line or "\n" in line or "\r" in line or "\0" in line
+            or line.count("\t") != len(row) - 1 or not line
+        ):
+            (quoted if "\r" in line else writer).writerow(row)
+        else:
+            write(line + "\n")
         n += 1
     return n
 
@@ -93,21 +103,25 @@ def write_store(handle: TextIO, header: tuple[str, ...], rows: Iterable[tuple[st
 def read_store(path: str | Path, header: tuple[str, ...], parse_row: Callable[[list[str]], T]) -> Iterator[T]:
     """Each row of a tab-separated store through `parse_row`; blank lines are skipped.
 
-    Only line 1 can be the header (its first field is the first column's
-    name), so a later record whose first field is that name is kept. A row
-    with the wrong number of columns, or one `parse_row` rejects with
-    ValueError or ValidationError, raises ValidationError at path:line.
+    Line 1 is the header when its first field is the first column's name
+    and it does not parse as a record (no header does: `label` is not a
+    label and `line_no` not an integer), so a store without a header keeps
+    a first record named like that column. A row with the wrong number of
+    columns, or one `parse_row` rejects with ValueError or ValidationError,
+    raises ValidationError at path:line.
     """
     with open(path, encoding="utf-8", newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         for row in reader:
-            if not row or (row[0] == header[0] and reader.line_num == 1):
+            if not row:
                 continue
             try:
                 if len(row) != len(header):
                     raise ValidationError(f"expected {len(header)} columns, got {len(row)}")
                 record = parse_row(row)
             except (ValueError, ValidationError) as exc:
+                if reader.line_num == 1 and row[0] == header[0]:
+                    continue
                 raise ValidationError(f"{path}:{reader.line_num}: {exc}") from None
             yield record
 
@@ -142,15 +156,16 @@ def write_events(
 
 def _parse_event_row(row: list[str]) -> ParsedEvent:
     line_no, event_id, ts, sid, label = row
-    return ParsedEvent(
-        int(line_no),
-        int(event_id),
-        float(ts) if ts else None,
-        (sid,) if sid else (),
-        parse_label(label),
-    )
+    stamp = float(ts) if ts else None
+    if stamp is not None and not isfinite(stamp):
+        raise ValidationError(f"timestamp is not finite: {ts}")
+    return ParsedEvent(int(line_no), int(event_id), stamp, (sid,) if sid else (), parse_label(label))
 
 
 def read_events(path: str | Path) -> Iterator[ParsedEvent]:
-    """Read the parsed-event store back; a malformed row raises ValidationError at path:line."""
+    """Read the parsed-event store back.
+
+    A malformed row, or a timestamp that is nan or infinite, raises
+    ValidationError at path:line.
+    """
     return read_store(path, EVENTS_HEADER, _parse_event_row)

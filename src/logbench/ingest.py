@@ -27,11 +27,21 @@ Which templates a message is checked against rests on one invariant. A
 literal segment with whitespace on both sides, where the start of the first
 segment and the end of the last segment count as whitespace. If a template
 matches a message, each of its whole literal tokens is also a
-whitespace-separated token of that message. The catalog therefore indexes
-each template under one whole token (its leading one when it has one, else
-its rarest) and tries only the templates indexed under the message's own
+whitespace-separated token of that message, and its leading whole token
+(the first segment's first token, when that token is whole) is the
+message's first token. The catalog therefore indexes each template under exactly one
+whole token and tries only the templates indexed under the message's own
 tokens, plus the templates without a whole token, in catalog order. The
 result is the one a linear scan over the whole catalog gives.
+
+Which token keys a template depends on the catalog. When every template
+with a whole token has a leading one, each is keyed by its leading token,
+and a message is split only for its first token. When some template has
+whole tokens but no leading one (say it starts with `<*>`), every message
+must be split into all its tokens to find that template anyway, so every
+template is keyed by its rarest whole token, the one fewest templates hold.
+A template without a whole token, such as the catch-all `<*>`, is tried for
+every message and does not change the keys.
 """
 
 from __future__ import annotations
@@ -39,10 +49,9 @@ from __future__ import annotations
 import logging
 import re
 from collections import Counter
-from dataclasses import dataclass, field, fields
-from datetime import datetime, timedelta, timezone
+from math import isfinite
 from pathlib import Path
-from typing import Callable, Iterable, Iterator, TextIO
+from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import CatalogError, ProfileError, ValidationError
 from .events import NORMAL, Label, ParsedEvent
@@ -56,11 +65,11 @@ WILDCARD = "<*>"
 #: met; `timestamp_error_count` counts them all.
 TIMESTAMP_ERROR_SAMPLE = 10
 
-_TOKEN_RE = re.compile(r"\S+")
+#: A profile's `timezone` other than UTC: a fixed offset.
+_OFFSET_RE = re.compile(r"([+-])(\d{2}):(\d{2})")
 
 
-@dataclass(frozen=True)
-class EventTemplate:
+class EventTemplate(NamedTuple):
     """One parsing pattern: literal segments joined by `<*>` wildcards."""
 
     event_id: int
@@ -96,13 +105,15 @@ def _index_tokens(segments: tuple[str, ...]) -> tuple[str | None, list[str]]:
     leading = None
     whole: list[str] = []
     for i, seg in enumerate(segments):
-        for m in _TOKEN_RE.finditer(seg):
-            if (i == 0 or m.start() > 0) and (i == last or m.end() < len(seg)):
-                # Every run of the first segment but its last is whole, so
-                # `whole` is still empty here only at that segment's first run.
-                if i == 0 and not whole:
-                    leading = m.group()
-                whole.append(m.group())
+        tokens = seg.split()
+        # A run that touches a wildcard is not whole: the wildcard may extend it.
+        if tokens and i < last and not seg[-1].isspace():
+            tokens.pop()
+        if tokens and i > 0 and not seg[0].isspace():
+            del tokens[0]
+        if i == 0 and tokens:
+            leading = tokens[0]
+        whole += tokens
     return leading, whole
 
 
@@ -128,10 +139,12 @@ class TemplateCatalog:
 
     Order: longest total literal length first, ties broken by lowest event id.
     Each template is indexed under one whole literal token (see the module
-    docstring): its leading one if it has one, else the one fewest templates
-    share. A template without a whole token, such as the catch-all `<*>`,
-    is a candidate for every message. A candidate is verified against its
-    literal segments, as the module docstring describes.
+    docstring): its leading one, unless some template has whole tokens but
+    no leading one; then every template is indexed under the one fewest
+    templates share. A template without a whole token, such as the
+    catch-all `<*>`, is a candidate for every message. A candidate is
+    verified against its literal segments, as the module docstring
+    describes.
     """
 
     def __init__(self, templates: Iterable[EventTemplate]):
@@ -145,39 +158,44 @@ class TemplateCatalog:
             self.by_id[tpl.event_id] = tpl
         self._checks = [_segment_check(tpl) for tpl in self.templates]
         keys = [_index_tokens(tpl.segments) for tpl in self.templates]
-        shared = Counter(token for _, whole in keys for token in set(whole))
-        by_first: dict[str, list[int]] = {}
-        by_inner: dict[str, list[int]] = {}
+        # Split every message whole only when some template needs it.
+        self._split_whole = any(leading is None and whole for leading, whole in keys)
+        if self._split_whole:
+            shared = Counter(token for _, whole in keys for token in set(whole))
+            key_of = [min(whole, key=shared.__getitem__) if whole else None for _, whole in keys]
+        else:
+            key_of = [leading for leading, _ in keys]
+        index: dict[str, list[int]] = {}
         always: list[int] = []
-        for rank, (leading, whole) in enumerate(keys):
-            if leading is not None:
-                by_first.setdefault(leading, []).append(rank)
-            elif whole:
-                by_inner.setdefault(min(whole, key=shared.__getitem__), []).append(rank)
-            else:
+        for rank, key in enumerate(key_of):
+            if key is None:
                 always.append(rank)
-        # Values are ranks in `templates`; the always-tried ranks are merged
-        # into every first-token bucket so a lookup needs no further merge.
+            else:
+                index.setdefault(key, []).append(rank)
+        # Values are ranks in `templates`. Keyed by leading token, a lookup
+        # finds one bucket, so the always-tried ranks are merged into each.
         self._always = tuple(always)
-        self._by_first = {tok: tuple(sorted(r + always)) for tok, r in by_first.items()}
-        self._by_inner = {tok: tuple(r) for tok, r in by_inner.items()}
+        if self._split_whole:
+            self._index = {tok: tuple(r) for tok, r in index.items()}
+        else:
+            self._index = {tok: tuple(sorted(r + always)) for tok, r in index.items()}
 
     def __len__(self) -> int:
         return len(self.templates)
 
     def match(self, message: str) -> EventTemplate | None:
         """Return the first (most specific) template that matches the message, else None."""
-        if self._by_inner:
-            tokens = message.split()
-            ranks = list(self._by_first.get(tokens[0], self._always) if tokens else self._always)
-            for token in set(tokens):
-                hit = self._by_inner.get(token)
+        if self._split_whole:
+            ranks = list(self._always)
+            index = self._index
+            for token in set(message.split()):
+                hit = index.get(token)
                 if hit is not None:
                     ranks += hit
             ranks.sort()
         else:
             lead = message.split(None, 1)
-            ranks = self._by_first.get(lead[0], self._always) if lead else self._always
+            ranks = self._index.get(lead[0], self._always) if lead else self._always
         checks = self._checks
         size = len(message)
         for rank in ranks:
@@ -234,15 +252,7 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     return TemplateCatalog(templates)
 
 
-@dataclass(frozen=True)
-class DatasetProfile:
-    """Per-dataset line conventions. Exactly one label source applies.
-
-    label_source: "sequence-file" (labels attached later from a per-sequence
-    file), "event-marker" (a line token marks each event), or "file-dir"
-    (one sequence per input file, label derived from its path).
-    """
-
+class _ProfileFields(NamedTuple):
     name: str
     label_source: str
     preamble_tokens: int = 0
@@ -257,19 +267,42 @@ class DatasetProfile:
     tokenized: bool = False
     anomaly_dir_pattern: str | None = None
 
-    def __post_init__(self):
+
+class DatasetProfile(_ProfileFields):
+    """Per-dataset line conventions. Exactly one label source applies.
+
+    label_source: "sequence-file" (labels attached later from a per-sequence
+    file), "event-marker" (a line token marks each event), or "file-dir"
+    (one sequence per input file, label derived from its path). Built from
+    the fields of `_ProfileFields`, positionally or by name; construction
+    and `_replace` both raise ProfileError for an invalid profile.
+    """
+
+    __slots__ = ()
+
+    def __new__(cls, *args, **kwargs):
+        return super().__new__(cls, *args, **kwargs)._checked()
+
+    def _replace(self, **changes) -> DatasetProfile:
+        return super()._replace(**changes)._checked()
+
+    def _checked(self) -> DatasetProfile:
         if self.label_source not in ("sequence-file", "event-marker", "file-dir"):
             raise ProfileError(f"unknown label_source: {self.label_source!r}")
         if self.label_source == "event-marker" and self.label_token is None:
             raise ProfileError("event-marker profiles require label_token")
         if self.timestamp_pattern and not self.timestamp_format:
             raise ProfileError("timestamp_pattern requires timestamp_format")
-        _parse_timezone(self.timezone)
+        if self.timezone.upper() != "UTC":
+            offset = _OFFSET_RE.fullmatch(self.timezone)
+            if offset is None or int(offset.group(2)) >= 24 or int(offset.group(3)) >= 60:
+                raise ProfileError(f"unsupported timezone spec: {self.timezone!r} (use UTC or +HH:MM)")
+        return self
 
 
 _PROFILE_INT_KEYS = {"preamble_tokens", "seq_id_token", "base_year", "label_token"}
 _PROFILE_BOOL_KEYS = {"tokenized"}
-_PROFILE_KEYS = {f.name for f in fields(DatasetProfile)}
+_PROFILE_KEYS = set(DatasetProfile._fields)
 
 
 def load_profile_file(path: str | Path) -> DatasetProfile:
@@ -304,11 +337,14 @@ def load_profile_file(path: str | Path) -> DatasetProfile:
     return DatasetProfile(**values)  # type: ignore[arg-type]
 
 
-def bundled_profile_names() -> list[str]:
-    from importlib.resources import files
+#: The bundled profiles, installed as package data next to this module.
+#: Found by path, not through `importlib.resources`, which loads `inspect`
+#: from Python 3.12 on.
+_BUNDLED_PROFILES = Path(__file__).with_name("profiles")
 
-    root = files("logbench") / "profiles"
-    return sorted(p.name[: -len(".profile")] for p in root.iterdir() if p.name.endswith(".profile"))
+
+def bundled_profile_names() -> list[str]:
+    return sorted(p.stem for p in _BUNDLED_PROFILES.glob("*.profile"))
 
 
 def load_profile(name_or_path: str | Path) -> DatasetProfile:
@@ -316,21 +352,14 @@ def load_profile(name_or_path: str | Path) -> DatasetProfile:
     path = Path(name_or_path)
     if path.exists() and path.is_file():
         return load_profile_file(path)
-    from importlib.resources import as_file, files
-
-    resource = files("logbench") / "profiles" / f"{name_or_path}.profile"
-    try:
-        with as_file(resource) as real:
-            if real.exists():
-                return load_profile_file(real)
-    except FileNotFoundError:
-        pass
+    bundled = _BUNDLED_PROFILES / f"{name_or_path}.profile"
+    if bundled.is_file():
+        return load_profile_file(bundled)
     raise ProfileError(
         f"no such profile: {name_or_path!r} (bundled: {', '.join(bundled_profile_names())})"
     )
 
 
-@dataclass
 class IngestReport:
     """Exact line accounting for one parse pass.
 
@@ -339,14 +368,36 @@ class IngestReport:
     no_id_lines but still streamed for window-based grouping.
     """
 
-    lines_total: int = 0
-    matched_lines: int = 0
-    unmatched_lines: int = 0
-    invalid_lines: int = 0
-    parsed_events: int = 0
-    no_id_lines: int = 0
-    timestamp_error_count: int = 0
-    timestamp_errors: list[tuple[int, str]] = field(default_factory=list)
+    __slots__ = (
+        "lines_total",
+        "matched_lines",
+        "unmatched_lines",
+        "invalid_lines",
+        "parsed_events",
+        "no_id_lines",
+        "timestamp_error_count",
+        "timestamp_errors",
+    )
+
+    def __init__(
+        self,
+        lines_total: int = 0,
+        matched_lines: int = 0,
+        unmatched_lines: int = 0,
+        invalid_lines: int = 0,
+        parsed_events: int = 0,
+        no_id_lines: int = 0,
+        timestamp_error_count: int = 0,
+        timestamp_errors: list[tuple[int, str]] | None = None,
+    ):
+        self.lines_total = lines_total
+        self.matched_lines = matched_lines
+        self.unmatched_lines = unmatched_lines
+        self.invalid_lines = invalid_lines
+        self.parsed_events = parsed_events
+        self.no_id_lines = no_id_lines
+        self.timestamp_error_count = timestamp_error_count
+        self.timestamp_errors = [] if timestamp_errors is None else timestamp_errors
 
     def add_timestamp_error(self, line_no: int, reason: str) -> None:
         self.timestamp_error_count += 1
@@ -354,24 +405,32 @@ class IngestReport:
             self.timestamp_errors.append((line_no, reason))
 
 
-def _parse_timezone(spec: str) -> timezone:
-    if spec.upper() == "UTC":
-        return timezone.utc
-    m = re.fullmatch(r"([+-])(\d{2}):(\d{2})", spec)
-    if not m:
-        raise ProfileError(f"unsupported timezone spec: {spec!r} (use UTC or +HH:MM)")
-    sign = 1 if m.group(1) == "+" else -1
-    return timezone(sign * timedelta(hours=int(m.group(2)), minutes=int(m.group(3))))
+def _epoch(text: str) -> float:
+    value = float(text)
+    if not isfinite(value):
+        raise ValueError("not a finite number")
+    return value
 
 
 def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
-    """The profile's timestamp-text-to-epoch-seconds function; None without a timestamp_format."""
+    """The profile's timestamp-text-to-epoch-seconds function; None without a timestamp_format.
+
+    Only a `strptime` format loads `datetime`; an epoch profile never does.
+    Epoch text that is nan or infinite is refused like unparseable text.
+    """
     fmt = profile.timestamp_format
     if fmt is None:
         return None
     if fmt == "epoch":
-        return float
-    tzinfo = _parse_timezone(profile.timezone)
+        return _epoch
+    from datetime import datetime, timedelta, timezone
+
+    offset = _OFFSET_RE.fullmatch(profile.timezone)
+    if offset is None:
+        tzinfo = timezone.utc
+    else:
+        sign = 1 if offset.group(1) == "+" else -1
+        tzinfo = timezone(sign * timedelta(hours=int(offset.group(2)), minutes=int(offset.group(3))))
     year = None if "%y" in fmt or "%Y" in fmt else (profile.base_year or 1970)
 
     def convert(text: str) -> float:

@@ -9,7 +9,7 @@ from __future__ import annotations
 import csv
 import logging
 from collections import Counter
-from dataclasses import dataclass
+from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
@@ -21,32 +21,57 @@ LOGGER = logging.getLogger("logbench.sequencing")
 SEQUENCES_HEADER = ("seq_id", "label", "events", "timestamps")
 
 
-@dataclass
 class Sequence:
     """Ordered event-type ids with parallel timestamps and a ground-truth label.
 
     timestamps, when present, has exactly one (possibly None) entry per
     event; event_labels is carried for event-granularity evaluation on
-    datasets labeled per line.
+    datasets labeled per line. Two sequences are equal when all their fields
+    are; a sequence is mutable, so it is not hashable.
     """
 
-    seq_id: str
-    events: list[int]
-    timestamps: list[float | None] | None = None
-    label: Label | None = None
-    event_labels: list[Label] | None = None
+    __slots__ = ("seq_id", "events", "timestamps", "label", "event_labels")
+
+    def __init__(
+        self,
+        seq_id: str,
+        events: list[int],
+        timestamps: list[float | None] | None = None,
+        label: Label | None = None,
+        event_labels: list[Label] | None = None,
+    ):
+        self.seq_id = seq_id
+        self.events = events
+        self.timestamps = timestamps
+        self.label = label
+        self.event_labels = event_labels
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in Sequence.__slots__)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()  # type: ignore[attr-defined]
+
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        return "Sequence(" + ", ".join(f"{name}={getattr(self, name)!r}" for name in Sequence.__slots__) + ")"
 
     def __len__(self) -> int:
         return len(self.events)
 
 
-@dataclass
 class GroupingReport:
     """Accounting for one grouping pass over an event stream."""
 
-    events_total: int = 0
-    grouped_events: int = 0
-    discarded_no_id: int = 0
+    __slots__ = ("events_total", "grouped_events", "discarded_no_id")
+
+    def __init__(self, events_total: int = 0, grouped_events: int = 0, discarded_no_id: int = 0):
+        self.events_total = events_total
+        self.grouped_events = grouped_events
+        self.discarded_no_id = discarded_no_id
 
 
 def _finalize(seq: Sequence) -> Sequence:
@@ -254,11 +279,19 @@ def _parse_sequence_row(row: list[str]) -> Sequence:
         [None if t == "-" else float(t) for t in ts.split()] if ts else None,
         parse_label(label),
     )
-    if seq.timestamps is not None and len(seq.timestamps) != len(seq.events):
-        raise ValidationError(f"sequence {sid}: timestamp count != event count")
+    if seq.timestamps is not None:
+        if len(seq.timestamps) != len(seq.events):
+            raise ValidationError(f"sequence {sid}: timestamp count != event count")
+        # `filter(None, ...)` skips the missing stamps (and zeros, which are finite).
+        if not all(map(isfinite, filter(None, seq.timestamps))):
+            raise ValidationError(f"sequence {sid}: a timestamp is not finite")
     return seq
 
 
 def read_sequences(path: str | Path) -> list[Sequence]:
-    """Read the sequence store back; a malformed row raises ValidationError at path:line."""
+    """Read the sequence store back.
+
+    A malformed row, or a timestamp that is nan or infinite, raises
+    ValidationError at path:line.
+    """
     return list(read_store(path, SEQUENCES_HEADER, _parse_sequence_row))

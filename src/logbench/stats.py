@@ -8,34 +8,26 @@ totals, grand totals) in ways that are otherwise ambiguous.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
-from typing import TYPE_CHECKING, Iterable
+from typing import Iterable, NamedTuple
 
 from .errors import ValidationError
 from .sequencing import Sequence, count_vector_key, pair_deltas
 
-if TYPE_CHECKING:
-    from .ingest import IngestReport
 
-
-@dataclass(frozen=True)
-class ClassSplit:
+class ClassSplit(NamedTuple):
     total: int
     normal: int
     anomalous: int
 
 
-@dataclass(frozen=True)
-class CrossClass:
+class CrossClass(NamedTuple):
     """Instance counts of items whose pattern also occurs in the other class."""
 
     normal: int
     anomalous: int
 
 
-@dataclass(frozen=True)
-class DatasetSummary:
-    lines_total: int | None
+class DatasetSummary(NamedTuple):
     events: ClassSplit
     event_types: ClassSplit
     sequences: ClassSplit
@@ -52,7 +44,7 @@ def _require_labeled(seqs: Iterable[Sequence]) -> None:
             raise ValidationError(f"sequence {seq.seq_id} is unlabeled")
 
 
-def summarize(seqs: list[Sequence], ingest_report: IngestReport | None = None) -> DatasetSummary:
+def summarize(seqs: list[Sequence]) -> DatasetSummary:
     """Compute the dataset-overview counts over fully labeled sequences.
 
     Uniqueness compares the ordered event list; cross-class overlap counts
@@ -86,7 +78,6 @@ def summarize(seqs: list[Sequence], ingest_report: IngestReport | None = None) -
     tags = {s.label.tag for s in anom}
 
     return DatasetSummary(
-        lines_total=ingest_report.lines_total if ingest_report else None,
         events=ClassSplit(ev_normal + ev_anom, ev_normal, ev_anom),
         event_types=ClassSplit(
             len(types_normal | types_anom), len(types_normal), len(types_anom)
@@ -123,11 +114,8 @@ def summary_lines(summary: DatasetSummary) -> list[str]:
     def row(metric, cls, count, denom, base_name):
         rows.append((metric, cls, str(count), _pct(count, denom), f"of {denom} {base_name}" if denom else ""))
 
-    lines = summary.lines_total
-    if lines is not None:
-        row("number_of_lines", "total", lines, lines, "lines")
     ev = summary.events
-    row("number_of_parsed_events", "total", ev.total, lines, "lines")
+    row("number_of_parsed_events", "total", ev.total, None, "")
     row("number_of_parsed_events", "normal", ev.normal, ev.total, "events")
     row("number_of_parsed_events", "anomalous", ev.anomalous, ev.total, "events")
     et = summary.event_types
@@ -210,8 +198,7 @@ def top_sequences(
     return out
 
 
-@dataclass(frozen=True)
-class FiveNumber:
+class FiveNumber(NamedTuple):
     """min, Q1, median, Q3, max of a sample; quartiles by linear interpolation."""
 
     minimum: float

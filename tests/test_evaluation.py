@@ -5,7 +5,6 @@ import logging
 import random
 import re
 from collections import Counter, defaultdict
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -86,6 +85,15 @@ class TestConfig:
             EvalConfig(train_fraction=1.5)
         with pytest.raises(ValidationError):
             EvalConfig(train_fraction=0.0)
+
+    @pytest.mark.parametrize(
+        "change", [{"train_fraction": 1.0}, {"repetitions": 0}, {"granularity": "window"}]
+    )
+    def test_replace_validates(self, change):
+        config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=5)
+        with pytest.raises(ValidationError):
+            config._replace(**change)
+        assert config._replace(rng_seed=6) == EvalConfig(0.2, 3, 6)
 
 
 class TestMetrics:
@@ -391,7 +399,7 @@ class TestSharedScoreColumns:
         rng = random.Random(100 * jobs + 10 * dump + timestamps)
         for seqs, trial in itertools.product((read_sequences(BUNDLED), repetitive_corpus()), range(3)):
             if not timestamps:
-                seqs = [replace(s, timestamps=None) for s in seqs]
+                seqs = [Sequence(s.seq_id, s.events, None, s.label, s.event_labels) for s in seqs]
             specs = random_specs(rng)
             config = EvalConfig(train_fraction=0.1, repetitions=2, rng_seed=trial)
             report = evaluate_study(seqs, config, specs, jobs=jobs, dump_run0_scores=dump)
@@ -460,7 +468,7 @@ class TestSharedScoreColumns:
         assert factory.scores == factory.fits
 
     def test_not_applicable_member_is_fitted_once(self):
-        seqs = [replace(s, timestamps=None) for s in read_sequences(BUNDLED)]
+        seqs = [Sequence(s.seq_id, s.events, None, s.label, s.event_labels) for s in read_sequences(BUNDLED)]
         factory = CountingFactory()
         config = EvalConfig(train_fraction=0.1, repetitions=1)
         report = evaluate_study(seqs, config, ["timing", "event+timing", "event"], detector_factory=factory)
@@ -473,7 +481,7 @@ class TestEvaluateEvents:
     def test_disjoint_anomalous_types_full_recall(self):
         seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
         config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=2)
-        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
+        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         assert report.granularity == "event"
         for outcome in report.outcomes:
             assert outcome.best.metrics.recall == pytest.approx(1.0)
@@ -481,7 +489,7 @@ class TestEvaluateEvents:
     def test_full_training_coverage_no_false_positives(self):
         seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
         config = EvalConfig(train_fraction=0.5, repetitions=2, rng_seed=2)
-        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
+        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         for outcome in report.outcomes:
             assert outcome.results[0].counts.fp == 0
             assert outcome.best.metrics.tnr == pytest.approx(1.0)
@@ -490,14 +498,14 @@ class TestEvaluateEvents:
         seqs = event_labeled_corpus(n_normal=10, n_anomalous=3)
         config = EvalConfig(train_fraction=0.3, repetitions=1, rng_seed=0)
         train, test = split(seqs, config, 0)
-        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
+        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         total_events = sum(len(s) for s in test)
         assert report.outcomes[0].results[0].counts.total == total_events
 
     def test_counts_flag_event_types_unseen_in_training(self):
         seqs = event_labeled_corpus(n_normal=30, n_anomalous=8)
         config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=4)
-        report = evaluate_study(seqs, replace(config, granularity="event"), ["event"])
+        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         for r, outcome in enumerate(report.outcomes):
             train, test = split(seqs, config, r)
             known = {e for seq in train for e in seq.events}
@@ -509,7 +517,7 @@ class TestEvaluateEvents:
     def test_refused_without_event_labels(self):
         with pytest.raises(EvalDataError, match="per-event labels"):
             evaluate_study(
-                tiny_dataset(), replace(EvalConfig(train_fraction=0.2), granularity="event"), ["event"]
+                tiny_dataset(), EvalConfig(train_fraction=0.2)._replace(granularity="event"), ["event"]
             )
 
     def test_refuses_rows_other_than_event(self):

@@ -12,6 +12,7 @@ from oracles import catalog_match_naive, split_line_naive
 from logbench.errors import CatalogError, ProfileError, ValidationError
 from logbench.events import format_label, parse_label
 from logbench.ingest import (
+    _index_tokens,
     DatasetProfile,
     IngestReport,
     Label,
@@ -296,12 +297,22 @@ SEGMENT_PIECES = ["a", "b", "ab", " ", "\n", "\r", "<*>"]
 SEGMENT_FILLS = ["", "a", "b", "ab", "ba", " ", "\n", "\r"]
 
 
+# Templates with a whole literal token but no leading one: a catalog holding
+# one keys every template by its rarest whole token.
+INNER_KEYED = ["<*> a", "<*> ab <*>", "a<*> b", "<*>\nb a", "b<*> ab\r", "<*> a b a"]
+
+
 @st.composite
-def segment_cases(draw):
-    """Patterns over a two-letter alphabet and messages near them, the empty one included."""
+def segment_cases(draw, inner_keyed=False):
+    """Patterns over a two-letter alphabet and messages near them, the empty one included.
+
+    With `inner_keyed`, one of the patterns is drawn from INNER_KEYED.
+    """
     patterns = draw(
         st.lists(st.lists(st.sampled_from(SEGMENT_PIECES), min_size=1, max_size=6).map("".join), min_size=1, max_size=6)
     )
+    if inner_keyed:
+        patterns.insert(draw(st.integers(0, len(patterns))), draw(st.sampled_from(INNER_KEYED)))
     messages = [""]
     for _ in range(draw(st.integers(1, 8))):
         if draw(st.booleans()):
@@ -325,6 +336,18 @@ class TestSegmentMatch:
     def test_matches_regex_oracle(self, case):
         patterns, messages = case
         catalog = _catalog_from(patterns)
+        for message in messages:
+            assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message)), (patterns, message)
+
+    @settings(max_examples=500, deadline=None)
+    @given(segment_cases(inner_keyed=True))
+    @example((["<*> a", "a <*>", "b a<*>"], ["b a", "a a", "a b a", " a"]))  # leading and inner keys at once
+    @example((["<*> a b a", "<*> b", "<*>"], ["a b a", "b", "x a b a", ""]))  # a shared token is not the key
+    def test_rarest_token_keys_match_regex_oracle(self, case):
+        patterns, messages = case
+        catalog = _catalog_from(patterns)
+        keys = [_index_tokens(tpl.segments) for tpl in catalog.templates]
+        assert any(leading is None and whole for leading, whole in keys)
         for message in messages:
             assert _hit(catalog.match(message)) == _hit(catalog_match_naive(catalog, message)), (patterns, message)
 
@@ -410,6 +433,33 @@ class TestTimestampMemo:
             assert event.timestamp == value
 
 
+class TestEpochStamps:
+    PROFILE = DatasetProfile(
+        name="e",
+        label_source="sequence-file",
+        preamble_tokens=2,
+        timestamp_pattern=r"^\S+ (\S+)",
+        timestamp_format="epoch",
+        seq_id_pattern=r"blk_\d+",
+    )
+
+    def test_non_finite_stamp_is_an_error_and_the_event_is_kept(self, tmp_path):
+        stamps = ["5", "nan", "inf", "-inf", "1e999", "-Infinity", "NaN", "6.5", "x"]
+        log = tmp_path / "epoch.log"
+        log.write_text("".join(f"a {stamp} Finalizing blk_{i}\n" for i, stamp in enumerate(stamps)))
+        report = IngestReport()
+        events = list(parse_file(log, make_catalog((1, "Finalizing <*>")), self.PROFILE, report=report))
+        assert [ev.timestamp for ev in events] == [5.0] + [None] * 6 + [6.5, None]
+        assert report.timestamp_error_count == 7
+        assert [n for n, _ in report.timestamp_errors] == [2, 3, 4, 5, 6, 7, 9]
+        assert "unparseable timestamp 'nan': not a finite number" in report.timestamp_errors[0][1]
+
+    def test_epoch_text_to_seconds(self):
+        assert parse_timestamp_text("1117838570.5", self.PROFILE) == 1117838570.5
+        with pytest.raises(ValueError, match="not a finite number"):
+            parse_timestamp_text("inf", self.PROFILE)
+
+
 class TestLineParserChecksProfile:
     @pytest.mark.parametrize(
         "field, pattern, message",
@@ -433,6 +483,24 @@ class TestLineParserChecksProfile:
         profile = DatasetProfile(name="bad", label_source="file-dir", anomaly_dir_pattern="Attack_(")
         with pytest.raises(ProfileError, match="anomaly_dir_pattern"):
             dir_label_map(tmp_path, profile)
+
+    @pytest.mark.parametrize(
+        "change, message",
+        [
+            ({"label_source": "stdin"}, "label_source"),
+            ({"label_source": "event-marker"}, "label_token"),
+            ({"timestamp_format": None}, "timestamp_format"),
+            ({"timezone": "+5:00"}, "timezone"),
+            ({"timezone": "+25:00"}, "timezone"),
+            ({"timezone": "-24:00"}, "timezone"),
+            ({"timezone": "+00:60"}, "timezone"),
+        ],
+    )
+    def test_replace_validates(self, change, message):
+        profile = load_profile("hdfs")
+        with pytest.raises(ProfileError, match=message):
+            profile._replace(**change)
+        assert profile._replace(timezone="-03:30").timezone == "-03:30"
 
     def test_non_integer_profile_value_names_the_line(self, tmp_path):
         f = tmp_path / "bad.profile"

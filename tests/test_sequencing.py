@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import re
 from collections import Counter
 
 import pytest
@@ -261,3 +262,28 @@ class TestSequenceStore:
         path.write_text("a\tnormal\t1 2\t1.0\n")
         with pytest.raises(ValidationError):
             read_sequences(path)
+
+    def test_headerless_store_keeps_a_first_record_named_like_the_first_column(self, tmp_path):
+        path = tmp_path / "headerless.tsv"
+        path.write_text("seq_id\tnormal\t1\t\nb\tnormal\t2\t\n")
+        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("seq_id", [1]), ("b", [2])]
+
+    @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "Infinity", "1e999"])
+    def test_non_finite_timestamp_refused_at_its_line(self, tmp_path, stamp):
+        path = tmp_path / "seqs.tsv"
+        path.write_text(f"seq_id\tlabel\tevents\ttimestamps\na\tnormal\t1 2\t0.0 1.0\nb\tnormal\t1 2\t0.0 {stamp}\n")
+        with pytest.raises(ValidationError, match=rf"{re.escape(str(path))}:3: sequence b: a timestamp is not finite"):
+            read_sequences(path)
+
+
+class TestSequenceRecord:
+    def test_length_equality_and_no_hash(self):
+        seq = Sequence("a", [1, 2], [0.0, None], NORMAL)
+        assert len(seq) == 2
+        assert seq == Sequence("a", [1, 2], [0.0, None], NORMAL)
+        assert seq != Sequence("a", [1, 2], [0.0, None], Label(True))
+        assert seq != ("a", [1, 2], [0.0, None], NORMAL, None)
+        with pytest.raises(TypeError):
+            hash(seq)
+        with pytest.raises(AttributeError):
+            seq.extra = 1

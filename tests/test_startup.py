@@ -35,6 +35,9 @@ POOL_MODULES = {"concurrent.futures", "multiprocessing"}
 #: What only `parse` needs: the parser and its timestamp conversion.
 PARSER_MODULES = {"logbench.ingest", "datetime"}
 
+#: What `dataclasses` imports; every record is a NamedTuple or a __slots__ class.
+RECORD_MODULES = {"dataclasses", "inspect"}
+
 
 def fresh_python(cwd: Path, *args) -> subprocess.CompletedProcess:
     path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
@@ -79,8 +82,11 @@ def test_bare_import_loads_only_cli_and_errors(tmp_path):
         (["eval", "--input", DATA / "synthetic_sequences.tsv", "--detectors", "event,ecvc,edit,timing",
           "--train-frac", "0.1", "--runs", "2", "--jobs", "1", "--out-dir", "eval"],
          {"events", "sequencing", "detectors", "evaluation"}),
+        (["sweep", "--input", DATA / "synthetic_sequences.tsv", "--detectors", "event,ecvc,timing",
+          "--train-frac", "0.1", "--out-dir", "sweep"],
+         {"events", "sequencing", "detectors", "evaluation"}),
     ],
-    ids=["parse", "group", "stats", "complexity", "eval-jobs1"],
+    ids=["parse", "group", "stats", "complexity", "eval-jobs1", "sweep"],
 )
 def test_command_loads_only_what_it_runs(tmp_path, event_store, argv, modules):
     argv = [event_store if a == "EVENT_STORE" else a for a in argv]
@@ -88,6 +94,7 @@ def test_command_loads_only_what_it_runs(tmp_path, event_store, argv, modules):
     expected = {"logbench", "logbench.cli", "logbench.errors"} | {f"logbench.{m}" for m in modules}
     assert logbench_modules(loaded) == expected
     assert not loaded & POOL_MODULES
+    assert not loaded & RECORD_MODULES
     if argv[0] == "parse":
         assert PARSER_MODULES <= loaded
     else:
@@ -103,6 +110,25 @@ def test_eval_imports_the_pool_only_to_start_one(tmp_path, jobs, runs, pooled):
     )
     assert modules & POOL_MODULES == (POOL_MODULES if pooled else set())
     assert not modules & PARSER_MODULES
+    assert not modules & RECORD_MODULES
+
+
+def test_epoch_profile_parse_loads_no_datetime(tmp_path):
+    """`bgl` stamps are epoch seconds, so its parse never needs `strptime`."""
+    node = "R02-M1-N0-C:J12-U11"
+    (tmp_path / "bgl.log").write_text(
+        f"- 1117838570 2005.06.03 {node} 2005-06-03-15.42.50.363779 {node} RAS KERNEL INFO cache parity error\n"
+        f"KERNDTLB 1117838571 2005.06.03 {node} 2005-06-03-15.42.51.100000 {node} RAS KERNEL FATAL data TLB error\n"
+    )
+    (tmp_path / "bgl.templates").write_text("1\tcache parity error\n2\tdata TLB <*>\n")
+    loaded = loaded_modules(
+        tmp_path, "parse", "--profile", "bgl", "--templates", "bgl.templates", "--input", "bgl.log",
+        "--out", "events.tsv",
+    )
+    assert "logbench.ingest" in loaded
+    assert not loaded & ({"datetime"} | RECORD_MODULES)
+    rows = (tmp_path / "events.tsv").read_text().splitlines()
+    assert rows[1:] == [f"1\t1\t1117838570.0\t{node}\tnormal", f"2\t2\t1117838571.0\t{node}\tanomalous:KERNDTLB"]
 
 
 def readme_chain(event_store: Path) -> list[list[str]]:

@@ -5,7 +5,6 @@ from hypothesis import given, strategies as st
 
 from logbench.errors import ValidationError
 from logbench.events import Label, NORMAL
-from logbench.ingest import IngestReport
 from logbench.sequencing import Sequence
 from logbench.stats import (
     event_frequency_dist,
@@ -88,11 +87,6 @@ class TestSummarize:
     def test_unlabeled_rejected(self):
         with pytest.raises(ValidationError):
             summarize([Sequence("u", [1])])
-
-    def test_lines_total_from_report(self):
-        report = IngestReport(lines_total=42)
-        summary = summarize([nseq([1]), aseq([2])], report)
-        assert summary.lines_total == 42
 
     def test_distinct_anomaly_tags(self):
         seqs = [aseq([1], sid="a1"), Sequence("a2", [2], None, Label(True, "other")), nseq([3])]
