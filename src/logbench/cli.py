@@ -568,7 +568,7 @@ def build_parser() -> argparse.ArgumentParser:
     e = sub.add_parser("eval", parents=[study], help="repeated semi-supervised evaluation study")
     e.add_argument(
         "--detectors",
-        help="comma-separated detector names; + joins OR-combinations "
+        help="comma-separated detector rows, each named once; + joins OR-combinations "
         "(event, length, ecvc, ecvc-idf, ngram2, ngram3, ngram10, edit, timing); "
         "default: the study's 14 rows, or only `event` at event granularity",
     )

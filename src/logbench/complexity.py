@@ -25,7 +25,6 @@ class EntropyEntry(NamedTuple):
     total_entropy: float
     normalized_entropy: float
     distinct_ngrams: int
-    total_ngrams: int
     degenerate: bool
 
 
@@ -49,14 +48,14 @@ def ngram_entropy(seqs: Iterable[Sequence | PySequence[int]], n: int) -> Entropy
     total = sum(pooled.values())
     distinct = len(pooled)
     if distinct == 0:
-        return EntropyEntry(n, 0.0, 0.0, 0, 0, degenerate=True)
+        return EntropyEntry(n, 0.0, 0.0, 0, degenerate=True)
     h = 0.0
     for count in pooled.values():
         p = count / total
         h -= p * math.log2(p)
     h_max = math.log2(distinct) if distinct > 1 else 0.0
     normalized = h / h_max if h_max > 0 else 0.0
-    return EntropyEntry(n, h, normalized, distinct, total, degenerate=False)
+    return EntropyEntry(n, h, normalized, distinct, degenerate=False)
 
 
 def entropy_report(

@@ -124,26 +124,15 @@ class EvalResult(NamedTuple):
     metrics: Metrics
 
 
-class RunOutcome:
+class RunOutcome(NamedTuple):
     """Everything produced by one detector on one run."""
 
-    __slots__ = ("run", "detector", "train_size", "results", "best", "not_applicable")
-
-    def __init__(
-        self,
-        run: int,
-        detector: str,
-        train_size: int,
-        results: list[EvalResult] | None = None,
-        best: EvalResult | None = None,
-        not_applicable: bool = False,
-    ):
-        self.run = run
-        self.detector = detector
-        self.train_size = train_size
-        self.results = [] if results is None else results
-        self.best = best
-        self.not_applicable = not_applicable
+    run: int
+    detector: str
+    train_size: int
+    results: list[EvalResult]
+    best: EvalResult | None
+    not_applicable: bool = False
 
 
 class DetectorSummary(NamedTuple):
@@ -153,7 +142,6 @@ class DetectorSummary(NamedTuple):
     avg_f1: float | None
     max_f1: float | None
     std_f1: float | None
-    n_runs: int
     not_applicable: bool = False
 
 
@@ -161,24 +149,13 @@ class DetectorSummary(NamedTuple):
 ScoreDump = dict[str, list[tuple[str, float, bool, str]]]
 
 
-class StudyReport:
-    __slots__ = ("granularity", "outcomes", "summaries", "warnings", "train_sizes", "score_dump")
-
-    def __init__(
-        self,
-        granularity: str,
-        outcomes: list[RunOutcome],
-        summaries: list[DetectorSummary],
-        warnings: list[str],
-        train_sizes: list[int],
-        score_dump: ScoreDump | None = None,
-    ):
-        self.granularity = granularity
-        self.outcomes = outcomes
-        self.summaries = summaries
-        self.warnings = warnings
-        self.train_sizes = train_sizes
-        self.score_dump = {} if score_dump is None else score_dump
+class StudyReport(NamedTuple):
+    granularity: str
+    outcomes: list[RunOutcome]
+    summaries: list[DetectorSummary]
+    warnings: list[str]
+    train_sizes: list[int]
+    score_dump: ScoreDump
 
     def results(self) -> Iterable[EvalResult]:
         for outcome in self.outcomes:
@@ -250,22 +227,20 @@ def evaluate_run(
     threshold-free row gets one result at the 0/1 flag cutoff instead of
     the grid.
     """
-    outcome = RunOutcome(run=run, detector=detector, train_size=train_size)
     anom = sorted(s for s, a in zip(scores, anomalous) if a)
     norm = sorted(s for s, a in zip(scores, anomalous) if not a)
     if thresholded:
+        results = []
         for t in THRESHOLD_GRID:
             counts = _counts_at(anom, norm, t)
-            outcome.results.append(
-                EvalResult(run, detector, t, counts, metrics_from_counts(counts))
-            )
-        outcome.best = _best_result(outcome.results)
+            results.append(EvalResult(run, detector, t, counts, metrics_from_counts(counts)))
+        best = _best_result(results)
     else:
         counts = _counts_at(anom, norm, FLAG_CUTOFF)
         result = EvalResult(run, detector, None, counts, metrics_from_counts(counts))
-        outcome.results.append(result)
-        outcome.best = result if result.metrics.f1 is not None else None
-    return outcome
+        results = [result]
+        best = result if result.metrics.f1 is not None else None
+    return RunOutcome(run, detector, train_size, results, best)
 
 
 DetectorFactory = Callable[[str], Detector]
@@ -323,7 +298,7 @@ def _evaluate_one_run(
         name = "+".join(member.name for member in members)
         member_columns = [columns[member.name] for member in members]
         if any(column is None for column in member_columns):
-            outcomes.append(RunOutcome(run_index, name, len(train), not_applicable=True))
+            outcomes.append(RunOutcome(run_index, name, len(train), [], None, True))
             continue
         scores = [max(values) for values in zip(*member_columns)]
         thresholded = any(member.thresholded for member in members)
@@ -359,13 +334,13 @@ def _worker(run_index: int):
 
 def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSummary:
     if all(o.not_applicable for o in outcomes):
-        return DetectorSummary(detector, None, None, None, len(outcomes), not_applicable=True)
+        return DetectorSummary(detector, None, None, None, not_applicable=True)
     f1s = [o.best.metrics.f1 for o in outcomes if o.best is not None]
     if not f1s:
-        return DetectorSummary(detector, None, None, None, len(outcomes))
+        return DetectorSummary(detector, None, None, None)
     avg = sum(f1s) / len(f1s)
     std = statistics.stdev(f1s) if len(f1s) > 1 else 0.0
-    return DetectorSummary(detector, avg, max(f1s), std, len(outcomes))
+    return DetectorSummary(detector, avg, max(f1s), std)
 
 
 def _degeneracy_warnings(detector: str, outcomes: list[RunOutcome]) -> list[str]:
@@ -402,9 +377,13 @@ def evaluate_study(
     """Run the full repeated-sampling study for a set of detector rows.
 
     Each spec is a base detector name or a `+`-joined OR-combination of
-    them. Runs are independent (per-run seed stream) and may execute in
-    parallel; results are identical regardless of the worker count. Each
-    finished run logs one INFO line with its row count and wall seconds.
+    them. At least one row is required, and row names must be distinct: a
+    row's name joins its members' canonical names, so `ngram2` and `2-gram`
+    name the same row, while a row may repeat a member (`event+event`).
+    Both are checked before the first run. Runs are independent (per-run
+    seed stream) and may execute in parallel; results are identical
+    regardless of the worker count. Each finished run logs one INFO line
+    with its row count and wall seconds.
 
     At event granularity every sequence must carry per-event labels, and
     `detector_specs` must name only the threshold-free `event` row (an
@@ -424,6 +403,12 @@ def evaluate_study(
             raise EvalDataError(
                 "event-granularity evaluation requires per-event labels on every sequence"
             )
+    if not detector_specs:
+        raise ValidationError("no detector rows to evaluate")
+    names = ["+".join(detector_factory(part).name for part in spec.split("+")) for spec in detector_specs]
+    for i, name in enumerate(names):
+        if name in names[:i]:
+            raise ValidationError(f"detector row {name!r} is named more than once")
     args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
     runs = range(config.repetitions)
     outcomes: list[RunOutcome] = []
@@ -453,14 +438,7 @@ def evaluate_study(
         summaries.append(_summarize_detector(detector, detector_outcomes))
         warnings.extend(_degeneracy_warnings(detector, detector_outcomes))
     train_sizes = sorted({o.train_size for o in outcomes})
-    return StudyReport(
-        granularity=config.granularity,
-        outcomes=outcomes,
-        summaries=summaries,
-        warnings=warnings,
-        train_sizes=train_sizes,
-        score_dump=score_dump,
-    )
+    return StudyReport(config.granularity, outcomes, summaries, warnings, train_sizes, score_dump)
 
 
 def _fmt(value: float | None) -> str:

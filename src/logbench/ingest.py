@@ -291,6 +291,10 @@ class DatasetProfile(_ProfileFields):
             raise ProfileError(f"unknown label_source: {self.label_source!r}")
         if self.label_source == "event-marker" and self.label_token is None:
             raise ProfileError("event-marker profiles require label_token")
+        for key in ("preamble_tokens", "seq_id_token", "label_token"):
+            index = getattr(self, key)
+            if index is not None and index < 0:
+                raise ProfileError(f"{key} must be >= 0, got {index}")
         if self.timestamp_pattern and not self.timestamp_format:
             raise ProfileError("timestamp_pattern requires timestamp_format")
         if self.timezone.upper() != "UTC":
@@ -302,6 +306,7 @@ class DatasetProfile(_ProfileFields):
 
 _PROFILE_INT_KEYS = {"preamble_tokens", "seq_id_token", "base_year", "label_token"}
 _PROFILE_BOOL_KEYS = {"tokenized"}
+_PROFILE_BOOLS = {"1": True, "true": True, "yes": True, "0": False, "false": False, "no": False}
 _PROFILE_KEYS = set(DatasetProfile._fields)
 
 
@@ -329,7 +334,12 @@ def load_profile_file(path: str | Path) -> DatasetProfile:
                         f"{path}:{line_no}: {key} must be an integer, got {value!r}"
                     ) from None
             elif key in _PROFILE_BOOL_KEYS:
-                values[key] = value.lower() in ("1", "true", "yes")
+                flag = _PROFILE_BOOLS.get(value.lower())
+                if flag is None:
+                    raise ProfileError(
+                        f"{path}:{line_no}: {key} must be 1, true, yes, 0, false or no, got {value!r}"
+                    )
+                values[key] = flag
             else:
                 values[key] = value
     if "name" not in values or "label_source" not in values:
@@ -379,25 +389,15 @@ class IngestReport:
         "timestamp_errors",
     )
 
-    def __init__(
-        self,
-        lines_total: int = 0,
-        matched_lines: int = 0,
-        unmatched_lines: int = 0,
-        invalid_lines: int = 0,
-        parsed_events: int = 0,
-        no_id_lines: int = 0,
-        timestamp_error_count: int = 0,
-        timestamp_errors: list[tuple[int, str]] | None = None,
-    ):
-        self.lines_total = lines_total
-        self.matched_lines = matched_lines
-        self.unmatched_lines = unmatched_lines
-        self.invalid_lines = invalid_lines
-        self.parsed_events = parsed_events
-        self.no_id_lines = no_id_lines
-        self.timestamp_error_count = timestamp_error_count
-        self.timestamp_errors = [] if timestamp_errors is None else timestamp_errors
+    def __init__(self):
+        self.lines_total = 0
+        self.matched_lines = 0
+        self.unmatched_lines = 0
+        self.invalid_lines = 0
+        self.parsed_events = 0
+        self.no_id_lines = 0
+        self.timestamp_error_count = 0
+        self.timestamp_errors: list[tuple[int, str]] = []
 
     def add_timestamp_error(self, line_no: int, reason: str) -> None:
         self.timestamp_error_count += 1

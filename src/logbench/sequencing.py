@@ -68,10 +68,10 @@ class GroupingReport:
 
     __slots__ = ("events_total", "grouped_events", "discarded_no_id")
 
-    def __init__(self, events_total: int = 0, grouped_events: int = 0, discarded_no_id: int = 0):
-        self.events_total = events_total
-        self.grouped_events = grouped_events
-        self.discarded_no_id = discarded_no_id
+    def __init__(self):
+        self.events_total = 0
+        self.grouped_events = 0
+        self.discarded_no_id = 0
 
 
 def _finalize(seq: Sequence) -> Sequence:

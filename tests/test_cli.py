@@ -319,6 +319,20 @@ class TestParseProfileErrors:
         assert err.startswith(f"error: {key} ") and "does not compile" in err
 
 
+    def test_unknown_boolean_value_names_the_line(self, tmp_path, synthetic_log_path, capsys):
+        code, profile = self._parse(
+            tmp_path, synthetic_log_path, "name = x\nlabel_source = sequence-file\ntokenized = ture\n"
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {profile}:3: tokenized")
+
+    @pytest.mark.parametrize("key", ["preamble_tokens", "seq_id_token", "label_token"])
+    def test_negative_token_index_refused(self, tmp_path, synthetic_log_path, capsys, key):
+        code, _ = self._parse(tmp_path, synthetic_log_path, f"name = x\nlabel_source = sequence-file\n{key} = -1\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {key} must be >= 0, got -1\n"
+
+
 class TestEvalCommand:
     def test_bundled_corpus_summary_has_row_per_detector(self, tmp_path, bundled_corpus_path):
         out_dir = tmp_path / "eval"
@@ -553,6 +567,30 @@ def test_unlabeled_sequences_dropped_are_recorded(tmp_path, bundled_corpus_path,
     assert manifest["warnings"] == ["dropped 7 unlabeled sequences"]
 
 
+@pytest.mark.parametrize("command, argv", [("eval", ("--runs", "2", "--jobs", "2")), ("sweep", ())])
+@pytest.mark.parametrize(
+    "detectors, message",
+    [
+        ("ngram2,2-gram", "detector row 'ngram2' is named more than once"),
+        (",", "no detector rows to evaluate"),
+        ("", "no detector rows to evaluate"),
+    ],
+)
+def test_repeated_or_empty_rows_refused(tmp_path, bundled_corpus_path, capsys, command, argv, detectors, message):
+    out_dir = tmp_path / command
+    code = run(
+        command,
+        "--input", bundled_corpus_path,
+        "--detectors", detectors,
+        "--train-frac", "0.1",
+        *argv,
+        "--out-dir", out_dir,
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 class TestProfilesCommand:
     def test_list_names(self, capsys):
         assert run("profiles", "list") == 0
@@ -564,6 +602,13 @@ class TestProfilesCommand:
         assert run("profiles", "show", "hdfs") == 0
         out = capsys.readouterr().out
         assert "label_source = sequence-file" in out
+
+    def test_show_refuses_an_unknown_boolean_value(self, tmp_path, capsys):
+        profile = tmp_path / "typo.profile"
+        profile.write_text("name = x\nlabel_source = file-dir\ntokenized = ture\n")
+        assert run("profiles", "show", profile) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith(f"error: {profile}:3: tokenized") and not captured.out
 
     @pytest.mark.parametrize("name", bundled_profile_names())
     def test_show_output_loads_as_the_same_profile(self, tmp_path, capsys, name):

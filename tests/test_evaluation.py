@@ -289,6 +289,23 @@ class TestEvaluateStudy:
         assert report.summaries[0].not_applicable
         assert report.summaries[0].avg_f1 is None
 
+    @pytest.mark.parametrize(
+        "specs", [["ngram2", "ngram2"], ["ngram2", "2-gram"], ["ecvc-idf+event", "ECVC(idf)+event"]]
+    )
+    def test_row_named_twice_refused_before_the_first_run(self, specs):
+        factory = CountingFactory()
+        config = EvalConfig(train_fraction=0.1, repetitions=2)
+        name = "+".join(make_detector(part).name for part in specs[0].split("+"))
+        with pytest.raises(ValidationError, match=re.escape(f"{name!r} is named more than once")):
+            evaluate_study(read_sequences(BUNDLED), config, specs, detector_factory=factory)
+        assert not factory.fits
+
+    @pytest.mark.parametrize("granularity", ["sequence", "event"])
+    def test_empty_row_list_refused(self, granularity):
+        config = EvalConfig(train_fraction=0.1, repetitions=2, granularity=granularity)
+        with pytest.raises(ValidationError, match="no detector rows"):
+            evaluate_study(event_labeled_corpus(), config, [])
+
     def test_parallel_equals_serial(self):
         seqs = synthetic_corpus(n_normal=60, per_anomaly=4)
         config = EvalConfig(train_fraction=0.15, repetitions=4, rng_seed=9)
@@ -359,9 +376,13 @@ def repetitive_corpus(n=120, seed=7):
 
 
 def random_specs(rng):
-    """Rows of one to three members; repeated members and aliases included."""
+    """Rows of one to three members, repeated members and aliases included; the first row of each name is kept."""
     names = BASES + ("2-gram", "ECVC(idf)", "event-timing")
-    return ["+".join(rng.choice(names) for _ in range(rng.randint(1, 3))) for _ in range(rng.randint(1, 6))]
+    rows: dict[str, str] = {}
+    for _ in range(rng.randint(1, 6)):
+        spec = "+".join(rng.choice(names) for _ in range(rng.randint(1, 3)))
+        rows.setdefault("+".join(make_detector(part).name for part in spec.split("+")), spec)
+    return list(rows.values())
 
 
 class CountingFactory:

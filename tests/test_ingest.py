@@ -494,6 +494,9 @@ class TestLineParserChecksProfile:
             ({"timezone": "+25:00"}, "timezone"),
             ({"timezone": "-24:00"}, "timezone"),
             ({"timezone": "+00:60"}, "timezone"),
+            ({"preamble_tokens": -1}, "preamble_tokens must be >= 0"),
+            ({"seq_id_token": -1}, "seq_id_token must be >= 0"),
+            ({"label_token": -1}, "label_token must be >= 0"),
         ],
     )
     def test_replace_validates(self, change, message):
@@ -501,6 +504,21 @@ class TestLineParserChecksProfile:
         with pytest.raises(ProfileError, match=message):
             profile._replace(**change)
         assert profile._replace(timezone="-03:30").timezone == "-03:30"
+
+    @pytest.mark.parametrize(
+        "value, expected", [("1", True), ("TRUE", True), ("Yes", True), ("0", False), ("False", False), ("NO", False)]
+    )
+    def test_boolean_profile_values(self, tmp_path, value, expected):
+        f = tmp_path / "flag.profile"
+        f.write_text(f"name = x\nlabel_source = file-dir\ntokenized = {value}\n")
+        assert load_profile(f).tokenized is expected
+
+    @pytest.mark.parametrize("value", ["ture", "on", ""])
+    def test_unknown_boolean_value_names_the_line(self, tmp_path, value):
+        f = tmp_path / "flag.profile"
+        f.write_text(f"name = x\nlabel_source = file-dir\ntokenized = {value}\n")
+        with pytest.raises(ProfileError, match=rf"{f}:3: tokenized"):
+            load_profile(f)
 
     def test_non_integer_profile_value_names_the_line(self, tmp_path):
         f = tmp_path / "bad.profile"
