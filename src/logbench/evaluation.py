@@ -18,6 +18,13 @@ and is not applicable when any member is. Confusion counts at every grid
 threshold, the score dump and the sweep curves all derive from a row's
 column. Metrics with a zero denominator are reported as undefined
 (None / "NA"), never coerced to 0.
+
+A run keeps each row's outcome as confusion counts: the flagged anomalous
+and normal units at every grid threshold (or at the flag cutoff), the two
+class sizes, and the index of the best threshold, picked from the counts.
+Workers send back that form. The per-threshold `EvalResult` rows, with
+their metrics, are built only where they are read: the CSV writers,
+`sweep`, and `StudyReport.results()`.
 """
 
 from __future__ import annotations
@@ -28,6 +35,7 @@ import logging
 import random
 import statistics
 import time
+from array import array
 from bisect import bisect_right
 from contextlib import ExitStack
 from typing import Callable, Iterable, NamedTuple, Sequence as PySequence, TextIO
@@ -98,23 +106,24 @@ class Metrics(NamedTuple):
     f1: float | None
 
 
+def _f1(precision: float | None, recall: float | None) -> float | None:
+    if precision is None or recall is None or precision + recall == 0:
+        return None
+    return 2 * precision * recall / (precision + recall)
+
+
 def metrics_from_counts(c: ConfusionCounts) -> Metrics:
     precision = c.tp / (c.tp + c.fp) if c.tp + c.fp else None
     recall = c.tp / (c.tp + c.fn) if c.tp + c.fn else None
     tnr = c.tn / (c.tn + c.fp) if c.tn + c.fp else None
-    if precision is None or recall is None or precision + recall == 0:
-        f1 = None
-    else:
-        f1 = 2 * precision * recall / (precision + recall)
-    return Metrics(precision, recall, tnr, f1)
+    return Metrics(precision, recall, tnr, _f1(precision, recall))
 
 
 class EvalResult(NamedTuple):
     """Confusion counts and metrics for one (run, detector, threshold) triple.
 
-    threshold is None for threshold-free detectors. The result rows are
-    tuples because a run builds one per grid threshold of each row, and
-    workers send them back pickled.
+    threshold is None for threshold-free detectors. Built from a
+    `RunOutcome`'s counts when a writer or a caller reads it.
     """
 
     run: int
@@ -125,14 +134,40 @@ class EvalResult(NamedTuple):
 
 
 class RunOutcome(NamedTuple):
-    """Everything produced by one detector on one run."""
+    """One detector row's confusion counts on one run.
+
+    `tp[i]` and `fp[i]` count the anomalous and normal units flagged at
+    `THRESHOLD_GRID[i]` for a thresholded row, or at the 0/1 flag cutoff
+    (index 0, threshold None) for a threshold-free one; `tn` and `fn` follow
+    from the class sizes. `best_index` is the threshold index of the highest
+    F1, None when every F1 is undefined. A not-applicable row keeps no
+    counts. `results()` and `best()` build the rows from the counts.
+    """
 
     run: int
     detector: str
     train_size: int
-    results: list[EvalResult]
-    best: EvalResult | None
+    thresholded: bool = False
+    anomalies: int = 0
+    normals: int = 0
+    tp: PySequence[int] = ()
+    fp: PySequence[int] = ()
+    best_index: int | None = None
     not_applicable: bool = False
+
+    def _result(self, i: int) -> EvalResult:
+        """The row at threshold index `i`."""
+        tp, fp = self.tp[i], self.fp[i]
+        counts = ConfusionCounts(tp, fp, self.normals - fp, self.anomalies - tp)
+        threshold = THRESHOLD_GRID[i] if self.thresholded else None
+        return EvalResult(self.run, self.detector, threshold, counts, metrics_from_counts(counts))
+
+    def results(self) -> list[EvalResult]:
+        """One row per threshold, in threshold order; none for a not-applicable row."""
+        return [self._result(i) for i in range(len(self.tp))]
+
+    def best(self) -> EvalResult | None:
+        return None if self.best_index is None else self._result(self.best_index)
 
 
 class DetectorSummary(NamedTuple):
@@ -159,7 +194,7 @@ class StudyReport(NamedTuple):
 
     def results(self) -> Iterable[EvalResult]:
         for outcome in self.outcomes:
-            yield from outcome.results
+            yield from outcome.results()
 
 
 def run_seed(rng_seed: int, run_index: int) -> int:
@@ -193,22 +228,18 @@ def split(
     return train, test
 
 
-def _counts_at(
-    anom_sorted: list[float], norm_sorted: list[float], threshold: float
-) -> ConfusionCounts:
-    tp = len(anom_sorted) - bisect_right(anom_sorted, threshold)
-    fp = len(norm_sorted) - bisect_right(norm_sorted, threshold)
-    return ConfusionCounts(tp, fp, len(norm_sorted) - fp, len(anom_sorted) - tp)
+def _best_index(tp: PySequence[int], fp: PySequence[int], anomalies: int) -> int | None:
+    """Index of the highest F1; undefined F1s are skipped, ties go to the smallest threshold.
 
-
-def _best_result(results: list[EvalResult]) -> EvalResult | None:
-    """F1-maximizing grid point; ties resolve to the smallest threshold."""
-    best = None
-    for res in results:
-        if res.metrics.f1 is None:
-            continue
-        if best is None or res.metrics.f1 > best.metrics.f1:
-            best = res
+    F1 is undefined without a true positive; with one, precision and recall
+    are the quotients `metrics_from_counts` takes.
+    """
+    best = best_f1 = None
+    for i, (t, f) in enumerate(zip(tp, fp)):
+        if t:
+            f1 = _f1(t / (t + f), t / anomalies)
+            if best_f1 is None or f1 > best_f1:
+                best, best_f1 = i, f1
     return best
 
 
@@ -221,26 +252,20 @@ def evaluate_run(
     run: int = 0,
     train_size: int = 0,
 ) -> RunOutcome:
-    """Derive metrics at every `THRESHOLD_GRID` threshold from one row's score column.
+    """Confusion counts at every `THRESHOLD_GRID` threshold from one row's score column.
 
     `scores[i]` is the score of a unit whose class is `anomalous[i]`. A
-    threshold-free row gets one result at the 0/1 flag cutoff instead of
-    the grid.
+    threshold-free row is counted at the 0/1 flag cutoff instead of the
+    grid. The counts are held as unsigned 32-bit integers.
     """
     anom = sorted(s for s, a in zip(scores, anomalous) if a)
     norm = sorted(s for s, a in zip(scores, anomalous) if not a)
-    if thresholded:
-        results = []
-        for t in THRESHOLD_GRID:
-            counts = _counts_at(anom, norm, t)
-            results.append(EvalResult(run, detector, t, counts, metrics_from_counts(counts)))
-        best = _best_result(results)
-    else:
-        counts = _counts_at(anom, norm, FLAG_CUTOFF)
-        result = EvalResult(run, detector, None, counts, metrics_from_counts(counts))
-        results = [result]
-        best = result if result.metrics.f1 is not None else None
-    return RunOutcome(run, detector, train_size, results, best)
+    cutoffs = THRESHOLD_GRID if thresholded else (FLAG_CUTOFF,)
+    tp = array("I", [len(anom) - bisect_right(anom, t) for t in cutoffs])
+    fp = array("I", [len(norm) - bisect_right(norm, t) for t in cutoffs])
+    return RunOutcome(
+        run, detector, train_size, thresholded, len(anom), len(norm), tp, fp, _best_index(tp, fp, len(anom))
+    )
 
 
 DetectorFactory = Callable[[str], Detector]
@@ -298,14 +323,14 @@ def _evaluate_one_run(
         name = "+".join(member.name for member in members)
         member_columns = [columns[member.name] for member in members]
         if any(column is None for column in member_columns):
-            outcomes.append(RunOutcome(run_index, name, len(train), [], None, True))
+            outcomes.append(RunOutcome(run_index, name, len(train), not_applicable=True))
             continue
         scores = [max(values) for values in zip(*member_columns)]
         thresholded = any(member.thresholded for member in members)
         outcome = evaluate_run(name, thresholded, anomalous, scores, run=run_index, train_size=len(train))
         outcomes.append(outcome)
         if dump_run0_scores and run_index == 0:
-            best = outcome.best
+            best = outcome.best()
             cutoff = best.threshold if best is not None and best.threshold is not None else FLAG_CUTOFF
             dumps[name] = [
                 (seq.seq_id, score, score > cutoff, "anomalous" if a else "normal")
@@ -335,7 +360,8 @@ def _worker(run_index: int):
 def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSummary:
     if all(o.not_applicable for o in outcomes):
         return DetectorSummary(detector, None, None, None, not_applicable=True)
-    f1s = [o.best.metrics.f1 for o in outcomes if o.best is not None]
+    bests = [o.best() for o in outcomes]
+    f1s = [b.metrics.f1 for b in bests if b is not None]
     if not f1s:
         return DetectorSummary(detector, None, None, None)
     avg = sum(f1s) / len(f1s)
@@ -345,17 +371,15 @@ def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSu
 
 def _degeneracy_warnings(detector: str, outcomes: list[RunOutcome]) -> list[str]:
     warnings = []
-    bests = [o.best for o in outcomes if o.best is not None]
+    applicable = [o.best() for o in outcomes if not o.not_applicable]
+    bests = [b for b in applicable if b is not None]
     if bests and all(b.metrics.tnr == 0.0 for b in bests):
         warnings.append(
             f"{detector}: TNR is 0 at every run's best threshold; the detector "
             "flags every sequence and the F1 score is misleading"
         )
     na_runs = sum(
-        1
-        for o in outcomes
-        if not o.not_applicable
-        and (o.best is None or None in (o.best.metrics.precision, o.best.metrics.recall, o.best.metrics.tnr))
+        1 for b in applicable if b is None or None in (b.metrics.precision, b.metrics.recall, b.metrics.tnr)
     )
     if na_runs:
         warnings.append(
@@ -491,9 +515,9 @@ def write_bests_csv(report: StudyReport, handle: TextIO) -> None:
     writer = csv.writer(handle, lineterminator="\n")
     writer.writerow(("run", "detector", "best_threshold", "precision", "recall_tpr", "tnr", "f1"))
     for outcome in report.outcomes:
-        if outcome.best is None:
+        best = outcome.best()
+        if best is None:
             continue
-        best = outcome.best
         writer.writerow(
             (outcome.run, outcome.detector, _threshold_cell(best.threshold)) + _metric_cells(best.metrics)
         )

@@ -311,7 +311,7 @@ _PROFILE_KEYS = set(DatasetProfile._fields)
 
 
 def load_profile_file(path: str | Path) -> DatasetProfile:
-    """Load a flat key = value profile file."""
+    """Load a flat key = value profile file; every ProfileError names the file."""
     path = Path(path)
     values: dict[str, object] = {}
     with open(path, encoding="utf-8") as handle:
@@ -344,7 +344,10 @@ def load_profile_file(path: str | Path) -> DatasetProfile:
                 values[key] = value
     if "name" not in values or "label_source" not in values:
         raise ProfileError(f"{path}: profile requires at least name and label_source")
-    return DatasetProfile(**values)  # type: ignore[arg-type]
+    try:
+        return DatasetProfile(**values)  # type: ignore[arg-type]
+    except ProfileError as exc:
+        raise ProfileError(f"{path}: {exc}") from None
 
 
 #: The bundled profiles, installed as package data next to this module.

@@ -2,12 +2,21 @@
 
 Within-sequence order is source line order throughout: simultaneous
 timestamps make line order the only reliable total order.
+
+Grouping builds each sequence's events and stamps as lists. The sequence
+store reader, which `stats`, `complexity`, `eval` and `sweep` all use,
+gives them back compactly: the events as a tuple, one object per distinct
+tuple of the read, and the stamps as one `array('d')` when all of them are
+present. A sequence with a missing stamp keeps a list with None in its
+place. A sequence compares by value, so both forms of the same sequence
+are equal, and both write out the same bytes.
 """
 
 from __future__ import annotations
 
 import csv
 import logging
+from array import array
 from collections import Counter
 from math import isfinite
 from pathlib import Path
@@ -24,10 +33,15 @@ SEQUENCES_HEADER = ("seq_id", "label", "events", "timestamps")
 class Sequence:
     """Ordered event-type ids with parallel timestamps and a ground-truth label.
 
-    timestamps, when present, has exactly one (possibly None) entry per
-    event; event_labels is carried for event-granularity evaluation on
+    events is a list while `group` builds the sequence and a tuple once read
+    from the store, where equal tuples are one shared object. timestamps,
+    when present, has exactly one entry per event: a list, where a missing
+    stamp is None, or an `array('d')` read from a store row with every stamp
+    present. event_labels is carried for event-granularity evaluation on
     datasets labeled per line. Two sequences are equal when all their fields
-    are; a sequence is mutable, so it is not hashable.
+    hold the same values, whatever their container, so
+    `Sequence("a", [1]) == Sequence("a", (1,))`; a sequence is mutable, so it
+    is not hashable.
     """
 
     __slots__ = ("seq_id", "events", "timestamps", "label", "event_labels")
@@ -35,8 +49,8 @@ class Sequence:
     def __init__(
         self,
         seq_id: str,
-        events: list[int],
-        timestamps: list[float | None] | None = None,
+        events: list[int] | tuple[int, ...],
+        timestamps: list[float | None] | array | None = None,
         label: Label | None = None,
         event_labels: list[Label] | None = None,
     ):
@@ -47,7 +61,14 @@ class Sequence:
         self.event_labels = event_labels
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in Sequence.__slots__)
+        stamps, labels = self.timestamps, self.event_labels
+        return (
+            self.seq_id,
+            tuple(self.events),
+            None if stamps is None else tuple(stamps),
+            self.label,
+            None if labels is None else tuple(labels),
+        )
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -271,27 +292,38 @@ def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:
     )
 
 
-def _parse_sequence_row(row: list[str]) -> Sequence:
-    sid, label, events, ts = row
-    seq = Sequence(
-        sid,
-        [int(e) for e in events.split()] if events else [],
-        [None if t == "-" else float(t) for t in ts.split()] if ts else None,
-        parse_label(label),
-    )
-    if seq.timestamps is not None:
-        if len(seq.timestamps) != len(seq.events):
-            raise ValidationError(f"sequence {sid}: timestamp count != event count")
-        # `filter(None, ...)` skips the missing stamps (and zeros, which are finite).
-        if not all(map(isfinite, filter(None, seq.timestamps))):
-            raise ValidationError(f"sequence {sid}: a timestamp is not finite")
-    return seq
-
-
 def read_sequences(path: str | Path) -> list[Sequence]:
     """Read the sequence store back.
 
+    Events come back as tuples, one shared object per distinct tuple of the
+    read. A row whose stamps are all present gets them as one `array('d')`;
+    a row with a missing stamp (`-`) gets a list with None in its place.
     A malformed row, or a timestamp that is nan or infinite, raises
     ValidationError at path:line.
     """
-    return list(read_store(path, SEQUENCES_HEADER, _parse_sequence_row))
+    shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    by_text: dict[str, tuple[int, ...]] = {}  # a repeated events column is parsed once
+
+    def parse_row(row: list[str]) -> Sequence:
+        sid, label, events, ts = row
+        key = by_text.get(events)
+        if key is None:
+            key = tuple(map(int, events.split()))
+            key = by_text[events] = shared.setdefault(key, key)
+        stamps: list[float | None] | array | None = None
+        if ts:
+            parts = ts.split()
+            if "-" in parts:
+                stamps = [None if t == "-" else float(t) for t in parts]
+                # `filter(None, ...)` skips the missing stamps (and zeros, which are finite).
+                finite = all(map(isfinite, filter(None, stamps)))
+            else:
+                stamps = array("d", [float(t) for t in parts])
+                finite = all(map(isfinite, stamps))
+            if len(stamps) != len(key):
+                raise ValidationError(f"sequence {sid}: timestamp count != event count")
+            if not finite:
+                raise ValidationError(f"sequence {sid}: a timestamp is not finite")
+        return Sequence(sid, key, stamps, parse_label(label))
+
+    return list(read_store(path, SEQUENCES_HEADER, parse_row))

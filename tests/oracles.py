@@ -4,17 +4,22 @@ These deliberately use different mechanics than the production code
 (plain recursion, a row-by-row DP, substring sets, naive enumeration)
 and must stay free of imports from the optimized paths they verify. The
 combination oracle builds single base detectors with `make_detector`;
-the per-run scoring it verifies lives in `logbench.evaluation`.
+the per-run scoring it verifies lives in `logbench.evaluation`. The
+sweep oracle builds every result row, metrics included, with the
+evaluation's record types and `metrics_from_counts`, and picks the best
+row among them, where the evaluation keeps only confusion counts.
 """
 
 from __future__ import annotations
 
 import math
 import re
+from bisect import bisect_right
 from collections import Counter
 
 from logbench.detectors import make_detector
 from logbench.errors import DetectorNotApplicable
+from logbench.evaluation import FLAG_CUTOFF, THRESHOLD_GRID, ConfusionCounts, EvalResult, metrics_from_counts
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -178,6 +183,32 @@ def confusion_naive(scores, labels, threshold):
             fp += flagged
             tn += not flagged
     return tp, fp, tn, fn
+
+
+def evaluate_run_listed(detector, thresholded, anomalous, scores, *, run=0, train_size=0):
+    """(every result row, the best row) of one row's score column, each row built with its metrics.
+
+    The best row is the first of the highest F1, skipping undefined ones; a
+    threshold-free row has one result at the flag cutoff.
+    """
+    anom = sorted(s for s, a in zip(scores, anomalous) if a)
+    norm = sorted(s for s, a in zip(scores, anomalous) if not a)
+
+    def row(threshold, cutoff):
+        tp = len(anom) - bisect_right(anom, cutoff)
+        fp = len(norm) - bisect_right(norm, cutoff)
+        counts = ConfusionCounts(tp, fp, len(norm) - fp, len(anom) - tp)
+        return EvalResult(run, detector, threshold, counts, metrics_from_counts(counts))
+
+    if not thresholded:
+        result = row(None, FLAG_CUTOFF)
+        return [result], (result if result.metrics.f1 is not None else None)
+    results = [row(t, t) for t in THRESHOLD_GRID]
+    best = None
+    for res in results:
+        if res.metrics.f1 is not None and (best is None or res.metrics.f1 > best.metrics.f1):
+            best = res
+    return results, best
 
 
 def combination_scores_naive(spec, train, test, **knobs):

@@ -328,9 +328,16 @@ class TestParseProfileErrors:
 
     @pytest.mark.parametrize("key", ["preamble_tokens", "seq_id_token", "label_token"])
     def test_negative_token_index_refused(self, tmp_path, synthetic_log_path, capsys, key):
-        code, _ = self._parse(tmp_path, synthetic_log_path, f"name = x\nlabel_source = sequence-file\n{key} = -1\n")
+        code, profile = self._parse(
+            tmp_path, synthetic_log_path, f"name = x\nlabel_source = sequence-file\n{key} = -1\n"
+        )
         assert code == 2
-        assert capsys.readouterr().err == f"error: {key} must be >= 0, got -1\n"
+        assert capsys.readouterr().err == f"error: {profile}: {key} must be >= 0, got -1\n"
+
+    def test_unknown_label_source_names_the_file(self, tmp_path, synthetic_log_path, capsys):
+        code, profile = self._parse(tmp_path, synthetic_log_path, "name = x\nlabel_source = stdin\n")
+        assert code == 2
+        assert capsys.readouterr().err == f"error: {profile}: unknown label_source: 'stdin'\n"
 
 
 class TestEvalCommand:

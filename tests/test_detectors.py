@@ -607,11 +607,11 @@ class TestCombination:
     def test_named_preset_parses(self):
         outcome, _, _, _ = study_row("event+length+ecvc")
         assert outcome.detector == "event+length+ecvc"
-        assert [r.threshold for r in outcome.results] == list(THRESHOLD_GRID)  # thresholded
+        assert [r.threshold for r in outcome.results()] == list(THRESHOLD_GRID)  # thresholded
 
     def test_flag_only_combination_not_thresholded(self):
         outcome, _, _, _ = study_row("event+length")
-        assert [r.threshold for r in outcome.results] == [None]
+        assert [r.threshold for r in outcome.results()] == [None]
 
     def test_combined_score_is_member_max(self):
         _, scores, _, _ = study_row("event+length+ecvc")

@@ -2,8 +2,13 @@ from __future__ import annotations
 
 import itertools
 import logging
+import multiprocessing
+import os
+import pickle
 import random
 import re
+import subprocess
+import sys
 from collections import Counter, defaultdict
 from pathlib import Path
 
@@ -28,7 +33,7 @@ from logbench.fixtures import event_labeled_corpus, synthetic_corpus
 from logbench.events import Label, NORMAL
 from logbench.sequencing import Sequence, read_sequences
 
-from oracles import combination_scores_naive, confusion_naive
+from oracles import combination_scores_naive, confusion_naive, evaluate_run_listed
 
 BUNDLED = Path(__file__).parent.parent / "src" / "logbench" / "data" / "synthetic_sequences.tsv"
 
@@ -176,15 +181,15 @@ class TestEvaluateRun:
         train, test = split(seqs, EvalConfig(train_fraction=0.2), 0)
         scores = {s.seq_id: (1.0 if s.label.anomalous else 0.0) for s in test}
         outcome = run_detector(train, test, FixedScoreDetector(scores))
-        assert outcome.best.metrics.f1 == pytest.approx(1.0)
-        mid = [r for r in outcome.results if r.threshold == pytest.approx(0.5)][0]
+        assert outcome.best().metrics.f1 == pytest.approx(1.0)
+        mid = [r for r in outcome.results() if r.threshold == pytest.approx(0.5)][0]
         assert mid.metrics.f1 == pytest.approx(1.0)
 
     def test_flag_everything_hadoop_degeneracy(self):
         # 844 anomalies / 1000 items: Prec 0.844, Rec 1, TNR 0, F1 ~ 0.915
         test = [aseq([1], f"a{i}") for i in range(844)] + [nseq([1], f"n{i}") for i in range(156)]
         outcome = run_detector([nseq([1], "tr")], test, FixedScoreDetector({s.seq_id: 1.0 for s in test}))
-        at0 = outcome.results[0]
+        at0 = outcome.results()[0]
         assert at0.threshold == 0.0
         assert at0.metrics.precision == pytest.approx(0.844)
         assert at0.metrics.recall == pytest.approx(1.0)
@@ -195,7 +200,7 @@ class TestEvaluateRun:
         test = [nseq([1], "n0"), aseq([2], "a0"), aseq([3], "a1")]
         det = FixedScoreDetector({"n0": 0.2, "a0": 0.6, "a1": 0.9})
         outcome = run_detector([nseq([1], "tr")], test, det)
-        by_t = {round(r.threshold, 2): r for r in outcome.results}
+        by_t = {round(r.threshold, 2): r for r in outcome.results()}
         for t in (0.2, 0.3, 0.45, 0.59):
             r = by_t[round(t, 2)] if round(t, 2) in by_t else None
             if r is not None:
@@ -203,8 +208,8 @@ class TestEvaluateRun:
                 assert r.metrics.f1 == pytest.approx(1.0)
         assert by_t[0.1].counts.fp == 1
         assert by_t[0.95].counts.tp == 0
-        assert outcome.best.metrics.f1 == pytest.approx(1.0)
-        assert outcome.best.threshold == pytest.approx(0.2)  # smallest best threshold
+        assert outcome.best().metrics.f1 == pytest.approx(1.0)
+        assert outcome.best().threshold == pytest.approx(0.2)  # smallest best threshold
 
     def test_counts_sum_to_test_size_at_every_threshold(self):
         seqs = tiny_dataset()
@@ -212,14 +217,14 @@ class TestEvaluateRun:
         rng = random.Random(0)
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
         outcome = run_detector(train, test, det)
-        assert all(r.counts.total == len(test) for r in outcome.results)
+        assert all(r.counts.total == len(test) for r in outcome.results())
 
     def test_flagged_sets_nested_in_threshold(self):
         rng = random.Random(1)
         test = [nseq([1], f"n{i}") for i in range(30)] + [aseq([2], f"a{i}") for i in range(10)]
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
         outcome = run_detector([nseq([1], "tr")], test, det)
-        flagged = [r.counts.tp + r.counts.fp for r in outcome.results]
+        flagged = [r.counts.tp + r.counts.fp for r in outcome.results()]
         assert flagged == sorted(flagged, reverse=True)
 
     def test_threshold_free_detector_single_result(self):
@@ -227,9 +232,9 @@ class TestEvaluateRun:
         config = EvalConfig(train_fraction=0.2, repetitions=1)
         train, test = split(seqs, config, 0)
         outcome = run_detector(train, test, make_detector("event"))
-        assert len(outcome.results) == 1
-        assert outcome.results[0].threshold is None
-        assert outcome.best.metrics.f1 == pytest.approx(1.0)
+        assert len(outcome.results()) == 1
+        assert outcome.results()[0].threshold is None
+        assert outcome.best().metrics.f1 == pytest.approx(1.0)
 
     def test_pipeline_matches_naive_confusion_oracle(self):
         rng = random.Random(2)
@@ -239,16 +244,63 @@ class TestEvaluateRun:
         outcome = run_detector([nseq([1], "tr")], test, det)
         ordered_scores = [scores[s.seq_id] for s in test]
         labels = [s.label.anomalous for s in test]
-        for r in outcome.results:
+        for r in outcome.results():
             tp, fp, tn, fn = confusion_naive(ordered_scores, labels, r.threshold)
             assert (r.counts.tp, r.counts.fp, r.counts.tn, r.counts.fn) == (tp, fp, tn, fn)
+
+
+@st.composite
+def score_columns(draw):
+    """(thresholded, classes, scores): scores at and between grid values, all-equal columns, one-class columns."""
+    thresholded = draw(st.booleans())
+    value = (
+        st.one_of(st.sampled_from(THRESHOLD_GRID), st.floats(0.0, 1.0), st.just(FLAG_CUTOFF))
+        if thresholded
+        else st.sampled_from([0.0, 1.0])
+    )
+    n = draw(st.integers(0, 40))
+    if draw(st.booleans()):
+        scores = [draw(value)] * n
+    else:
+        scores = draw(st.lists(value, min_size=n, max_size=n))
+    if draw(st.booleans()):
+        anomalous = [draw(st.booleans())] * n
+    else:
+        anomalous = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    return thresholded, anomalous, scores
+
+
+class TestConfusionCountOutcomes:
+    @given(score_columns(), st.integers(0, 30), st.integers(0, 1000))
+    def test_rows_and_best_match_the_listed_oracle(self, column, run, train_size):
+        thresholded, anomalous, scores = column
+        outcome = evaluate_run("row", thresholded, anomalous, scores, run=run, train_size=train_size)
+        results, best = evaluate_run_listed("row", thresholded, anomalous, scores, run=run, train_size=train_size)
+        assert outcome.results() == results
+        assert outcome.best() == best
+        assert (outcome.anomalies, outcome.normals) == (sum(anomalous), len(anomalous) - sum(anomalous))
+        assert pickle.loads(pickle.dumps(outcome)) == outcome
+
+    def test_not_applicable_row_keeps_no_counts(self):
+        report = evaluate_study(tiny_dataset(), EvalConfig(train_fraction=0.2, repetitions=2), ["timing"])
+        for outcome in report.outcomes:
+            assert outcome.not_applicable
+            assert (outcome.tp, outcome.fp, outcome.best_index) == ((), (), None)
+            assert outcome.results() == [] and outcome.best() is None
+
+    def test_a_run_pickles_to_a_fifth_of_its_rows(self):
+        seqs = read_sequences(BUNDLED)
+        report = evaluate_study(seqs, EvalConfig(train_fraction=0.1, repetitions=1), STUDY_DETECTORS)
+        rows = list(report.results())
+        assert len(rows) == 11 * len(THRESHOLD_GRID) + 3
+        assert 5 * len(pickle.dumps(report.outcomes)) < len(pickle.dumps(rows))
 
 
 class TestThresholdSweep:
     def test_extremes(self):
         test = [nseq([1], "n0"), aseq([2], "a0")]
         det = FixedScoreDetector({"n0": 0.4, "a0": 0.8})
-        results = run_detector([nseq([1], "tr")], test, det).results
+        results = run_detector([nseq([1], "tr")], test, det).results()
         assert results[0].threshold == 0.0
         assert results[0].metrics.tnr == 0.0  # all scores > 0: everything flagged
         assert results[-1].threshold == 1.0
@@ -259,7 +311,7 @@ class TestThresholdSweep:
         rng = random.Random(3)
         test = [nseq([1], f"n{i}") for i in range(20)] + [aseq([2], f"a{i}") for i in range(5)]
         det = FixedScoreDetector({s.seq_id: rng.random() for s in test})
-        results = run_detector([nseq([1], "tr")], test, det).results
+        results = run_detector([nseq([1], "tr")], test, det).results()
         flagged = [r.counts.tp + r.counts.fp for r in results]
         assert flagged == sorted(flagged, reverse=True)
 
@@ -311,9 +363,7 @@ class TestEvaluateStudy:
         config = EvalConfig(train_fraction=0.15, repetitions=4, rng_seed=9)
         serial = evaluate_study(seqs, config, ["event", "ecvc"], jobs=1)
         parallel = evaluate_study(seqs, config, ["event", "ecvc"], jobs=2)
-        assert [o.best.metrics for o in serial.outcomes if o.best] == [
-            o.best.metrics for o in parallel.outcomes if o.best
-        ]
+        assert serial.outcomes == parallel.outcomes
 
     @pytest.mark.parametrize("jobs", [1, 2])
     def test_progress_logged_per_run(self, caplog, jobs):
@@ -433,9 +483,9 @@ class TestSharedScoreColumns:
                     expected = combination_scores_naive(spec, train, test)
                     assert outcome.not_applicable == (expected is None), spec
                     if expected is None:
-                        assert not outcome.results and outcome.detector not in report.score_dump
+                        assert not outcome.results() and outcome.detector not in report.score_dump
                         continue
-                    for res in outcome.results:
+                    for res in outcome.results():
                         cutoff = FLAG_CUTOFF if res.threshold is None else res.threshold
                         counts = (res.counts.tp, res.counts.fp, res.counts.tn, res.counts.fn)
                         assert counts == confusion_naive(expected, labels, cutoff), (spec, cutoff)
@@ -443,7 +493,7 @@ class TestSharedScoreColumns:
                         dumped = report.score_dump[outcome.detector]
                         assert [row[0] for row in dumped] == [s.seq_id for s in test]
                         assert [row[1] for row in dumped] == expected
-                        best = outcome.best
+                        best = outcome.best()
                         cutoff = FLAG_CUTOFF if best is None or best.threshold is None else best.threshold
                         assert [row[2] for row in dumped] == [v > cutoff for v in expected]
             assert next(outcomes, None) is None
@@ -505,15 +555,15 @@ class TestEvaluateEvents:
         report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         assert report.granularity == "event"
         for outcome in report.outcomes:
-            assert outcome.best.metrics.recall == pytest.approx(1.0)
+            assert outcome.best().metrics.recall == pytest.approx(1.0)
 
     def test_full_training_coverage_no_false_positives(self):
         seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
         config = EvalConfig(train_fraction=0.5, repetitions=2, rng_seed=2)
         report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         for outcome in report.outcomes:
-            assert outcome.results[0].counts.fp == 0
-            assert outcome.best.metrics.tnr == pytest.approx(1.0)
+            assert outcome.results()[0].counts.fp == 0
+            assert outcome.best().metrics.tnr == pytest.approx(1.0)
 
     def test_confusion_is_over_events(self):
         seqs = event_labeled_corpus(n_normal=10, n_anomalous=3)
@@ -521,7 +571,7 @@ class TestEvaluateEvents:
         train, test = split(seqs, config, 0)
         report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
         total_events = sum(len(s) for s in test)
-        assert report.outcomes[0].results[0].counts.total == total_events
+        assert report.outcomes[0].results()[0].counts.total == total_events
 
     def test_counts_flag_event_types_unseen_in_training(self):
         seqs = event_labeled_corpus(n_normal=30, n_anomalous=8)
@@ -532,7 +582,7 @@ class TestEvaluateEvents:
             known = {e for seq in train for e in seq.events}
             scores = [float(e not in known) for seq in test for e in seq.events]
             labels = [lab.anomalous for seq in test for lab in seq.event_labels]
-            counts = outcome.results[0].counts
+            counts = outcome.results()[0].counts
             assert (counts.tp, counts.fp, counts.tn, counts.fn) == confusion_naive(scores, labels, 0.5)
 
     def test_refused_without_event_labels(self):
@@ -554,6 +604,50 @@ class TestEvaluateEvents:
         config = EvalConfig(train_fraction=0.2, repetitions=1, granularity="event")
         report = evaluate_study(seqs, config, ["event"])
         assert report.granularity == "event"
+
+
+START_METHOD_SCRIPT = """
+import multiprocessing, sys
+from logbench.detectors import STUDY_DETECTORS
+from logbench.evaluation import EvalConfig, evaluate_study, write_results_csv, write_scores_csv
+from logbench.sequencing import read_sequences
+
+method, store, out = sys.argv[1:]
+multiprocessing.set_start_method(method)
+config = EvalConfig(train_fraction=0.1, repetitions=4)
+report = evaluate_study(read_sequences(store), config, STUDY_DETECTORS, jobs=2, dump_run0_scores=True)
+with open(out + "/results.csv", "w", newline="") as handle:
+    write_results_csv(report, handle)
+with open(out + "/scores_run0.csv", "w", newline="") as handle:
+    write_scores_csv(report.score_dump, handle)
+"""
+
+
+def study_under(method, out):
+    """results.csv and scores_run0.csv of a `jobs=2` study of the bundled corpus in a fresh interpreter."""
+    out.mkdir()
+    src = str(Path(__file__).parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+    subprocess.run(
+        [sys.executable, "-c", START_METHOD_SCRIPT, method, str(BUNDLED), str(out)],
+        env=env, check=True, timeout=300,
+    )
+    return [(out / name).read_bytes() for name in ("results.csv", "scores_run0.csv")]
+
+
+@pytest.fixture(scope="module")
+def forked_study(tmp_path_factory):
+    return study_under("fork", tmp_path_factory.mktemp("start") / "fork")
+
+
+class TestStartMethods:
+    """Workers that do not fork get the study pickled, and send their counts back pickled."""
+
+    @pytest.mark.parametrize("method", ["spawn", "forkserver"])
+    def test_results_match_the_forked_run(self, tmp_path, forked_study, method):
+        if method not in multiprocessing.get_all_start_methods():
+            pytest.skip(f"no {method} start method on this platform")
+        assert study_under(method, tmp_path / method) == forked_study
 
 
 class TestReproducibility:

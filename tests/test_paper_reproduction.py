@@ -141,7 +141,7 @@ def test_criterion_8_bgl_event_granularity_tnr():
     seqs = _bgl_sequences()
     config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1, granularity="event")
     report = evaluate_study(seqs, config, ["event"], jobs=os.cpu_count() or 1)
-    tnrs = [o.best.metrics.tnr for o in report.outcomes if o.best is not None]
+    tnrs = [best.metrics.tnr for best in (o.best() for o in report.outcomes) if best is not None]
     assert sum(tnrs) / len(tnrs) >= 0.998
 
 
@@ -150,7 +150,7 @@ def test_criterion_9_hadoop_degenerate_detection():
     seqs = read_sequences(store)
     config = EvalConfig(train_fraction=0.10, repetitions=25, rng_seed=1)
     report = evaluate_study(seqs, config, ["ecvc"])
-    bests = [o.best for o in report.outcomes if o.best is not None]
+    bests = [best for best in (o.best() for o in report.outcomes) if best is not None]
     assert bests, "no defined best operating point"
     for best in bests:
         assert best.metrics.tnr == 0.0

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import io
 import re
+from array import array
 from collections import Counter
 
 import pytest
@@ -236,11 +238,12 @@ class TestSequenceStore:
         with open(path, "w", newline="") as handle:
             assert write_sequences(seqs, handle) == 3
         back = read_sequences(path)
+        assert back == seqs
         assert [s.seq_id for s in back] == ["a", "b", "c"]
-        assert back[0].events == [1, 2, 3]
+        assert back[0].events == (1, 2, 3)
         assert back[0].timestamps == [1.0, None, 3.5]
         assert back[1].label == Label(True, "net down")
-        assert back[2].events == []
+        assert back[2].events == ()
 
     def test_carriage_return_in_text_round_trips(self, tmp_path):
         seqs = [Sequence("a\rb", [1], None, Label(True, "x\ry")), Sequence("c", [2], None, NORMAL)]
@@ -255,7 +258,7 @@ class TestSequenceStore:
         path = tmp_path / "seqs.tsv"
         with open(path, "w", newline="") as handle:
             assert write_sequences(seqs, handle) == 3
-        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("a", [0]), ("seq_id", [1]), ("b", [2])]
+        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("a", (0,)), ("seq_id", (1,)), ("b", (2,))]
 
     def test_length_mismatch_rejected(self, tmp_path):
         path = tmp_path / "bad.tsv"
@@ -266,7 +269,7 @@ class TestSequenceStore:
     def test_headerless_store_keeps_a_first_record_named_like_the_first_column(self, tmp_path):
         path = tmp_path / "headerless.tsv"
         path.write_text("seq_id\tnormal\t1\t\nb\tnormal\t2\t\n")
-        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("seq_id", [1]), ("b", [2])]
+        assert [(s.seq_id, s.events) for s in read_sequences(path)] == [("seq_id", (1,)), ("b", (2,))]
 
     @pytest.mark.parametrize("stamp", ["nan", "inf", "-inf", "Infinity", "1e999"])
     def test_non_finite_timestamp_refused_at_its_line(self, tmp_path, stamp):
@@ -287,3 +290,45 @@ class TestSequenceRecord:
             hash(seq)
         with pytest.raises(AttributeError):
             seq.extra = 1
+
+    def test_equality_is_by_value_whatever_the_container(self):
+        assert Sequence("a", [1]) == Sequence("a", (1,))
+        assert Sequence("a", [1, 2], [0.5, 1.5]) == Sequence("a", (1, 2), array("d", [0.5, 1.5]))
+        assert Sequence("a", [1], [0.5]) != Sequence("a", (1,), array("d", [0.25]))
+        assert Sequence("a", [1], None, NORMAL, [NORMAL]) == Sequence("a", (1,), None, NORMAL, (NORMAL,))
+
+
+@st.composite
+def stored_sequences(draw):
+    """Sequences as `group` builds them (lists; an empty one has no stamps), with `-` stamps and odd ids and tags."""
+    text = st.text(alphabet="ab \r\t\n\":-", max_size=4)
+    sid = draw(st.one_of(text, st.just("seq_id")))
+    label = draw(st.one_of(st.none(), st.just(NORMAL), st.builds(lambda tag: Label(True, tag), text)))
+    events = draw(st.lists(st.integers(1, 3), max_size=4))
+    stamp = st.floats(allow_nan=False, allow_infinity=False)
+    n = len(events)
+    stamps = draw(st.one_of(st.none(), st.lists(st.one_of(stamp, st.none()), min_size=n, max_size=n)))
+    return Sequence(sid, events, stamps if events else None, label)
+
+
+def store_text(seqs):
+    handle = io.StringIO(newline="")
+    write_sequences(seqs, handle)
+    return handle.getvalue()
+
+
+@settings(max_examples=200)
+@given(st.lists(stored_sequences(), max_size=12))
+def test_store_read_back_is_compact_and_writes_the_same_bytes(tmp_path_factory, seqs):
+    path = tmp_path_factory.getbasetemp() / "round_trip.tsv"
+    written = store_text(seqs)
+    path.write_text(written, encoding="utf-8", newline="")
+    back = read_sequences(path)
+    assert back == seqs
+    assert store_text(back) == written
+    first: dict[tuple[int, ...], tuple[int, ...]] = {}
+    for seq in back:
+        assert type(seq.events) is tuple
+        assert first.setdefault(seq.events, seq.events) is seq.events
+        if seq.timestamps is not None:
+            assert type(seq.timestamps) is (list if None in seq.timestamps else array)
