@@ -7,9 +7,8 @@ digests, realized sample sizes, and timings, so a run can be replayed.
 Each command imports the `logbench` modules it runs inside its own
 function. Every stage of the study is a fresh process per corpus, so what
 this module imports before parsing its arguments is paid once per stage:
-on small corpora, importing all modules and the process pool up front
-took as long as the work itself. Besides `cli` and `errors`, each stage
-loads:
+on small corpora, importing all modules up front took as long as the work
+itself. Besides `cli` and `errors`, each stage loads:
 
 * `parse`: `ingest` (the parser) and `events`, and `datetime` only when
   the profile's timestamps need `strptime` (an epoch profile such as `bgl`
@@ -18,7 +17,9 @@ loads:
 * `stats`: `sequencing` (with `events`) and `stats`;
 * `complexity`: `sequencing` (with `events`) and `complexity`;
 * `eval` and `sweep`: `sequencing` (with `events`), `detectors` and
-  `evaluation`, and the process pool only when they start one.
+  `evaluation`, and `forked` when `eval --jobs` splits the runs over more
+  than one process: it forks the study process, and no stage loads a
+  process pool (`multiprocessing`, `concurrent.futures`).
 
 No stage after `parse` loads `ingest` or `datetime`. No stage loads the
 record-class machinery of the standard library (`inspect`, `ast`, `dis`):
@@ -576,7 +577,9 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument(
         "--granularity", default="sequence", choices=["sequence", "event"], help="evaluation unit"
     )
-    e.add_argument("--jobs", type=int, default=os.cpu_count() or 1, help="parallel run workers")
+    e.add_argument(
+        "--jobs", type=int, default=os.cpu_count() or 1, help="processes that score the runs, this one included"
+    )
     e.add_argument("--out-dir", required=True, help="directory for results.csv and summary.csv")
     e.add_argument("--dump-scores", action="store_true", help="dump run 0 scores (sequence granularity)")
     e.set_defaults(func=cmd_eval)

@@ -547,10 +547,7 @@ _NGRAM_NAME = re.compile(r"^(?:ngram(\d+)|(\d+)-gram)$")
 
 
 class DetectorBuilder:
-    """Picklable detector factory carrying the normalization knobs.
-
-    Needed so evaluation runs can be dispatched to worker processes.
-    """
+    """Detector factory carrying the normalization knobs the CLI passes to `evaluate_study`."""
 
     def __init__(self, ecvc_norm="mass", ngram_norm="global-max", ngram_pad="start"):
         self.ecvc_norm = ecvc_norm

@@ -22,9 +22,11 @@ column. Metrics with a zero denominator are reported as undefined
 A run keeps each row's outcome as confusion counts: the flagged anomalous
 and normal units at every grid threshold (or at the flag cutoff), the two
 class sizes, and the index of the best threshold, picked from the counts.
-Workers send back that form. The per-threshold `EvalResult` rows, with
-their metrics, are built only where they are read: the CSV writers,
-`sweep`, and `StudyReport.results()`.
+With `jobs > 1`, the study process forks children after the study is
+loaded, so they share it without a copy; each child scores its share of
+the runs and sends back only that form, pickled through a pipe. The
+per-threshold `EvalResult` rows, with their metrics, are built only where
+they are read: the CSV writers, `sweep`, and `StudyReport.results()`.
 """
 
 from __future__ import annotations
@@ -32,12 +34,12 @@ from __future__ import annotations
 import csv
 import hashlib
 import logging
+import os
 import random
 import statistics
 import time
 from array import array
 from bisect import bisect_right
-from contextlib import ExitStack
 from typing import Callable, Iterable, NamedTuple, Sequence as PySequence, TextIO
 
 from .detectors import Detector, NewEventTypeDetector, make_detector
@@ -339,22 +341,10 @@ def _evaluate_one_run(
     return outcomes, dumps
 
 
-_WORKER_ARGS: tuple = ()
-
-
-def _init_worker(*args):
-    global _WORKER_ARGS
-    _WORKER_ARGS = args
-
-
 def _timed_run(args: tuple, run_index: int) -> tuple[list[RunOutcome], ScoreDump, float]:
     start = time.perf_counter()
     outcomes, dumps = _evaluate_one_run(*args, run_index)
     return outcomes, dumps, time.perf_counter() - start
-
-
-def _worker(run_index: int):
-    return _timed_run(_WORKER_ARGS, run_index)
 
 
 def _summarize_detector(detector: str, outcomes: list[RunOutcome]) -> DetectorSummary:
@@ -405,9 +395,11 @@ def evaluate_study(
     row's name joins its members' canonical names, so `ngram2` and `2-gram`
     name the same row, while a row may repeat a member (`event+event`).
     Both are checked before the first run. Runs are independent (per-run
-    seed stream) and may execute in parallel; results are identical
-    regardless of the worker count. Each finished run logs one INFO line
-    with its row count and wall seconds.
+    seed stream). With `jobs > 1`, `min(jobs, repetitions)` processes score
+    them, this one included (see `forked.forked_map`); where `os.fork` is
+    missing, this process scores them all and logs a warning. Results are
+    identical whatever the process count. Each run logs one INFO line, in
+    run order, with its row count and wall seconds.
 
     At event granularity every sequence must carry per-event labels, and
     `detector_specs` must name only the threshold-free `event` row (an
@@ -435,24 +427,24 @@ def evaluate_study(
             raise ValidationError(f"detector row {name!r} is named more than once")
     args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
     runs = range(config.repetitions)
+    width = min(jobs, len(runs))
+    if width > 1 and not hasattr(os, "fork"):
+        LOGGER.warning("no os.fork on this platform: the %d runs are scored in this process", len(runs))
+        width = 1
+    if width > 1:
+        from .forked import forked_map
+
+        per_run = forked_map(lambda r: _timed_run(args, r), runs, width)
+    else:
+        per_run = (_timed_run(args, r) for r in runs)
     outcomes: list[RunOutcome] = []
     score_dump: ScoreDump = {}
-    with ExitStack() as stack:
-        if jobs > 1 and len(runs) > 1:
-            from concurrent.futures import ProcessPoolExecutor
-
-            pool = stack.enter_context(
-                ProcessPoolExecutor(max_workers=min(jobs, len(runs)), initializer=_init_worker, initargs=args)
-            )
-            per_run = pool.map(_worker, runs)
-        else:
-            per_run = (_timed_run(args, r) for r in runs)
-        for run_index, (run_outcomes, dumps, seconds) in zip(runs, per_run):
-            LOGGER.info(
-                "run %d/%d finished: %d rows in %.2f s", run_index + 1, len(runs), len(run_outcomes), seconds
-            )
-            outcomes.extend(run_outcomes)
-            score_dump.update(dumps)
+    for run_index, (run_outcomes, dumps, seconds) in zip(runs, per_run):
+        LOGGER.info(
+            "run %d/%d finished: %d rows in %.2f s", run_index + 1, len(runs), len(run_outcomes), seconds
+        )
+        outcomes.extend(run_outcomes)
+        score_dump.update(dumps)
     by_detector: dict[str, list[RunOutcome]] = {}
     for outcome in outcomes:
         by_detector.setdefault(outcome.detector, []).append(outcome)

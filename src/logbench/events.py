@@ -48,6 +48,20 @@ def parse_label(text: str) -> Label | None:
     raise ValidationError(f"unrecognized label value: {text.strip()!r}")
 
 
+def label_reader() -> Callable[[str], Label | None]:
+    """`parse_label` that returns one shared `Label` per distinct text; one for each store read."""
+    labels: dict[str, Label | None] = {}
+
+    def read(text: str) -> Label | None:
+        try:
+            return labels[text]
+        except KeyError:
+            label = labels[text] = parse_label(text)
+            return label
+
+    return read
+
+
 def format_label(label: Label | None) -> str:
     if label is None:
         return ""
@@ -154,18 +168,19 @@ def write_events(
     return write_store(handle, EVENTS_HEADER, rows())
 
 
-def _parse_event_row(row: list[str]) -> ParsedEvent:
-    line_no, event_id, ts, sid, label = row
-    stamp = float(ts) if ts else None
-    if stamp is not None and not isfinite(stamp):
-        raise ValidationError(f"timestamp is not finite: {ts}")
-    return ParsedEvent(int(line_no), int(event_id), stamp, (sid,) if sid else (), parse_label(label))
-
-
 def read_events(path: str | Path) -> Iterator[ParsedEvent]:
-    """Read the parsed-event store back.
+    """Read the parsed-event store back; rows with the same label text share one `Label`.
 
     A malformed row, or a timestamp that is nan or infinite, raises
     ValidationError at path:line.
     """
-    return read_store(path, EVENTS_HEADER, _parse_event_row)
+    read_label = label_reader()
+
+    def parse_row(row: list[str]) -> ParsedEvent:
+        line_no, event_id, ts, sid, label = row
+        stamp = float(ts) if ts else None
+        if stamp is not None and not isfinite(stamp):
+            raise ValidationError(f"timestamp is not finite: {ts}")
+        return ParsedEvent(int(line_no), int(event_id), stamp, (sid,) if sid else (), read_label(label))
+
+    return read_store(path, EVENTS_HEADER, parse_row)

@@ -23,7 +23,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ValidationError
-from .events import Label, NORMAL, ParsedEvent, format_label, parse_label, read_store, write_store
+from .events import Label, NORMAL, ParsedEvent, format_label, label_reader, read_store, write_store
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
@@ -296,12 +296,14 @@ def read_sequences(path: str | Path) -> list[Sequence]:
     """Read the sequence store back.
 
     Events come back as tuples, one shared object per distinct tuple of the
-    read. A row whose stamps are all present gets them as one `array('d')`;
-    a row with a missing stamp (`-`) gets a list with None in its place.
+    read, and labels as one shared `Label` per distinct label text. A row
+    whose stamps are all present gets them as one `array('d')`; a row with
+    a missing stamp (`-`) gets a list with None in its place.
     A malformed row, or a timestamp that is nan or infinite, raises
     ValidationError at path:line.
     """
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
+    read_label = label_reader()
     by_text: dict[str, tuple[int, ...]] = {}  # a repeated events column is parsed once
 
     def parse_row(row: list[str]) -> Sequence:
@@ -324,6 +326,6 @@ def read_sequences(path: str | Path) -> list[Sequence]:
                 raise ValidationError(f"sequence {sid}: timestamp count != event count")
             if not finite:
                 raise ValidationError(f"sequence {sid}: a timestamp is not finite")
-        return Sequence(sid, key, stamps, parse_label(label))
+        return Sequence(sid, key, stamps, read_label(label))
 
     return list(read_store(path, SEQUENCES_HEADER, parse_row))

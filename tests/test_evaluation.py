@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import io
 import itertools
 import logging
 import multiprocessing
@@ -7,16 +8,20 @@ import os
 import pickle
 import random
 import re
+import signal
 import subprocess
 import sys
+import time
 from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
 from hypothesis import given, strategies as st
 
+from logbench import evaluation
+from logbench.cli import main as cli_main
 from logbench.detectors import Detector, STUDY_DETECTORS, make_detector
-from logbench.errors import EvalDataError, ValidationError
+from logbench.errors import EvalDataError, LogbenchError, ValidationError
 from logbench.evaluation import (
     ConfusionCounts,
     EvalConfig,
@@ -28,6 +33,10 @@ from logbench.evaluation import (
     metrics_from_counts,
     run_seed,
     split,
+    write_bests_csv,
+    write_results_csv,
+    write_scores_csv,
+    write_summary_csv,
 )
 from logbench.fixtures import event_labeled_corpus, synthetic_corpus
 from logbench.events import Label, NORMAL
@@ -606,6 +615,174 @@ class TestEvaluateEvents:
         assert report.granularity == "event"
 
 
+def written(report) -> list[str]:
+    """The four CSVs `eval --dump-scores` writes for a report."""
+    texts = []
+    for write, arg in (
+        (write_results_csv, report),
+        (write_summary_csv, report),
+        (write_bests_csv, report),
+        (write_scores_csv, report.score_dump),
+    ):
+        handle = io.StringIO(newline="")
+        write(arg, handle)
+        texts.append(handle.getvalue())
+    return texts
+
+
+class TwoArgumentError(Exception):
+    """Pickles, but cannot be rebuilt from its pickled arguments."""
+
+    def __init__(self, a, b):
+        super().__init__(f"{a}/{b}")
+
+
+def in_child(parent: int) -> bool:
+    return os.getpid() != parent
+
+
+@pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+class TestForkedRuns:
+    """`jobs > 1` forks children of the study process; none outlives `evaluate_study`."""
+
+    SPECS = ["event", "ecvc", "edit", "timing", "event+length"]
+
+    @pytest.fixture(autouse=True)
+    def bounded_without_leftovers(self):
+        """Fail a test that hangs past 30 s, or leaves a child process or an open pipe behind."""
+
+        def timeout(signum, frame):
+            raise TimeoutError("the test hung")
+
+        fds = sorted(os.listdir("/dev/fd"))
+        previous = signal.signal(signal.SIGALRM, timeout)
+        signal.alarm(30)
+        try:
+            yield
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+        assert sorted(os.listdir("/dev/fd")) == fds
+
+    @pytest.fixture(scope="class")
+    def corpus(self):
+        return synthetic_corpus(n_normal=50, per_anomaly=3)
+
+    @pytest.mark.parametrize("jobs, runs", [(2, 4), (3, 4), (3, 5), (8, 3)])
+    def test_uneven_shares_write_the_serial_bytes(self, corpus, jobs, runs):
+        config = EvalConfig(train_fraction=0.1, repetitions=runs, rng_seed=6)
+        serial = evaluate_study(corpus, config, self.SPECS, jobs=1, dump_run0_scores=True)
+        forked = evaluate_study(corpus, config, self.SPECS, jobs=jobs, dump_run0_scores=True)
+        assert forked.outcomes == serial.outcomes
+        assert written(forked) == written(serial)
+
+    def test_no_sequence_is_pickled(self, corpus, monkeypatch):
+        def refuse(self, protocol):
+            raise AssertionError("a Sequence was pickled")
+
+        monkeypatch.setattr(Sequence, "__reduce_ex__", refuse)
+        with pytest.raises(AssertionError, match="was pickled"):
+            pickle.dumps(corpus[0])
+        config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=2)
+        forked = evaluate_study(corpus, config, self.SPECS, jobs=2, dump_run0_scores=True)
+        assert written(forked) == written(evaluate_study(corpus, config, self.SPECS, dump_run0_scores=True))
+
+    @pytest.mark.parametrize("error", [EvalDataError, ZeroDivisionError])
+    def test_child_exception_raises_here_with_its_message(self, corpus, monkeypatch, error):
+        parent = os.getpid()
+
+        def split_failing_in_children(seqs, config, run_index):
+            if in_child(parent):
+                raise error(f"run {run_index} refused")
+            return split(seqs, config, run_index)
+
+        monkeypatch.setattr(evaluation, "split", split_failing_in_children)
+        config = EvalConfig(train_fraction=0.1, repetitions=4)
+        with pytest.raises(error, match=r"^run 1 refused$") as info:
+            evaluate_study(corpus, config, ["event"], jobs=2)
+        assert "split_failing_in_children" in str(info.value.__cause__)
+
+    def test_exception_that_cannot_be_rebuilt_names_its_type(self, corpus, monkeypatch):
+        parent = os.getpid()
+
+        def split_failing_in_children(seqs, config, run_index):
+            if in_child(parent):
+                raise TwoArgumentError("a", "b")
+            return split(seqs, config, run_index)
+
+        monkeypatch.setattr(evaluation, "split", split_failing_in_children)
+        config = EvalConfig(train_fraction=0.1, repetitions=2)
+        with pytest.raises(LogbenchError, match=r"^TwoArgumentError: a/b$"):
+            evaluate_study(corpus, config, ["event"], jobs=2)
+
+    @pytest.mark.parametrize(
+        "die, ending",
+        [(lambda: os._exit(3), "exit code 3"), (lambda: os.kill(os.getpid(), signal.SIGKILL), "signal 9")],
+        ids=["exit", "signal"],
+    )
+    def test_child_that_dies_names_its_runs(self, corpus, monkeypatch, die, ending):
+        parent = os.getpid()
+
+        def split_dying_in_children(seqs, config, run_index):
+            if in_child(parent):
+                die()
+            return split(seqs, config, run_index)
+
+        monkeypatch.setattr(evaluation, "split", split_dying_in_children)
+        config = EvalConfig(train_fraction=0.1, repetitions=5)
+        message = rf"^the process scoring runs 2, 5 of 5 ended without a result \({ending}\)$"
+        with pytest.raises(LogbenchError, match=message):
+            evaluate_study(corpus, config, ["event"], jobs=3)
+
+    def test_failure_here_while_a_child_writes_more_than_a_pipe_holds(self, corpus, monkeypatch):
+        parent = os.getpid()
+
+        def one_run(*args):
+            if not in_child(parent):
+                time.sleep(0.5)  # the child has finished its share and blocks on its pipe
+                raise EvalDataError("the study process failed")
+            ids = [(f"{i:0500d}", 0.0, False, "normal") for i in range(400)]
+            return [], {f"run{args[-1]}": ids}
+
+        monkeypatch.setattr(evaluation, "_evaluate_one_run", one_run)
+        with pytest.raises(EvalDataError, match="the study process failed"):
+            evaluate_study(corpus, EvalConfig(train_fraction=0.1, repetitions=4), ["event"], jobs=2)
+
+    def test_without_fork_one_process_scores_every_run(self, corpus, monkeypatch, caplog):
+        config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=4)
+        serial = evaluate_study(corpus, config, self.SPECS, jobs=1, dump_run0_scores=True)
+        monkeypatch.delattr(os, "fork")
+        with caplog.at_level(logging.WARNING, logger="logbench.evaluation"):
+            report = evaluate_study(corpus, config, self.SPECS, jobs=2, dump_run0_scores=True)
+        assert [r.getMessage() for r in caplog.records] == [
+            "no os.fork on this platform: the 3 runs are scored in this process"
+        ]
+        assert written(report) == written(serial)
+
+    def test_cli_exits_as_at_one_job(self, tmp_path, monkeypatch, capsys):
+        """A child's error ends `eval --jobs 2` as the same error ends `eval --jobs 1`."""
+        parent = os.getpid()
+
+        def run(jobs, refuse):
+            def refused_split(seqs, config, run_index):
+                if refuse():
+                    raise EvalDataError("split refused")
+                return split(seqs, config, run_index)
+
+            monkeypatch.setattr(evaluation, "split", refused_split)
+            code = cli_main([
+                "eval", "--input", str(BUNDLED), "--detectors", "event", "--train-frac", "0.1",
+                "--runs", "2", "--jobs", jobs, "--out-dir", str(tmp_path / jobs),
+            ])
+            return code, capsys.readouterr().err
+
+        serial = run("1", lambda: True)
+        assert serial == (2, "error: split refused\n")
+        assert run("2", lambda: in_child(parent)) == serial
+
+
 START_METHOD_SCRIPT = """
 import multiprocessing, sys
 from logbench.detectors import STUDY_DETECTORS
@@ -641,7 +818,11 @@ def forked_study(tmp_path_factory):
 
 
 class TestStartMethods:
-    """Workers that do not fork get the study pickled, and send their counts back pickled."""
+    """The start method an embedding program sets does not change the results.
+
+    `evaluate_study` forks its children itself and starts no process pool,
+    so no start method pickles the study.
+    """
 
     @pytest.mark.parametrize("method", ["spawn", "forkserver"])
     def test_results_match_the_forked_run(self, tmp_path, forked_study, method):

@@ -77,6 +77,19 @@ def test_label_whitespace():
     assert parse_label(" anomalous:net down ") == Label(True, "net down ")
 
 
+def test_rows_with_one_label_text_share_one_label(tmp_path):
+    path = tmp_path / "events.tsv"
+    text = "\t".join(EVENTS_HEADER) + "\n1\t4\t0.5\ta\tanomalous:x\n2\t5\t\tb\tnormal\n3\t4\t1.5\tc\tanomalous:x\n"
+    path.write_text(text, encoding="utf-8")
+    first, _, third = read_events(path)
+    assert first.label == Label(True, "x")
+    assert first.label is third.label
+    assert list(read_events(path))[0].label is not first.label  # shared within one read only
+    out = io.StringIO(newline="")
+    write_events(read_events(path), out)
+    assert out.getvalue() == text
+
+
 def test_parsed_event_is_a_tuple_with_an_optional_label():
     ev = ParsedEvent(3, 7, None, ("a", "b"))
     assert ev.label is None

@@ -298,6 +298,18 @@ class TestSequenceRecord:
         assert Sequence("a", [1], None, NORMAL, [NORMAL]) == Sequence("a", (1,), None, NORMAL, (NORMAL,))
 
 
+def test_rows_with_one_label_text_share_one_label(tmp_path):
+    seqs = [Sequence("a", [1, 2], None, Label(True, "x")), Sequence("b", [1], None, NORMAL)]
+    seqs.append(Sequence("c", [3], [0.5], Label(True, "x")))
+    path = tmp_path / "sequences.tsv"
+    text = store_text(seqs)
+    path.write_text(text, encoding="utf-8", newline="")
+    back = read_sequences(path)
+    assert back == seqs
+    assert back[0].label is back[2].label
+    assert store_text(back) == text
+
+
 @st.composite
 def stored_sequences(draw):
     """Sequences as `group` builds them (lists; an empty one has no stamps), with `-` stamps and odd ids and tags."""

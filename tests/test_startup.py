@@ -101,14 +101,17 @@ def test_command_loads_only_what_it_runs(tmp_path, event_store, argv, modules):
         assert not loaded & PARSER_MODULES
 
 
-@pytest.mark.parametrize("jobs, runs, pooled", [("1", "2", False), ("2", "2", True)])
-def test_eval_imports_the_pool_only_to_start_one(tmp_path, jobs, runs, pooled):
+@pytest.mark.parametrize("jobs", ["1", "2"])
+def test_eval_loads_no_process_pool(tmp_path, jobs):
+    """`--jobs 2` forks the study process instead of starting a pool."""
     modules = loaded_modules(
         tmp_path,
         "eval", "--input", DATA / "synthetic_sequences.tsv", "--detectors", "event,length",
-        "--train-frac", "0.1", "--runs", runs, "--jobs", jobs, "--out-dir", tmp_path / "eval",
+        "--train-frac", "0.1", "--runs", "2", "--jobs", jobs, "--out-dir", tmp_path / "eval",
     )
-    assert modules & POOL_MODULES == (POOL_MODULES if pooled else set())
+    assert (tmp_path / "eval" / "results.csv").is_file()
+    assert not modules & POOL_MODULES
+    assert ("logbench.forked" in modules) == (jobs == "2")
     assert not modules & PARSER_MODULES
     assert not modules & RECORD_MODULES
 
