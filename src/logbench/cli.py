@@ -251,25 +251,22 @@ def cmd_group(args: argparse.Namespace) -> int:
     return 0
 
 
-def _load_labeled_sequences(path: Path, manifest: Manifest):
-    """The store's labeled sequences; the manifest records how many unlabeled ones were dropped."""
-    from . import sequencing
-
-    seqs = sequencing.read_sequences(path)
+def _labeled(seqs, manifest: Manifest, unlabeled: str = "unlabeled sequences"):
+    """The labeled ones of `seqs`; the manifest records how many others were dropped."""
     labeled = [s for s in seqs if s.label is not None]
     dropped = len(seqs) - len(labeled)
     manifest.record("unlabeled_dropped", dropped)
     if dropped:
-        manifest.warn(f"dropped {dropped} unlabeled sequences")
+        manifest.warn(f"dropped {dropped} {unlabeled}")
     return labeled
 
 
 def cmd_stats(args: argparse.Namespace) -> int:
-    from . import stats
+    from . import sequencing, stats
 
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    seqs = _load_labeled_sequences(source, manifest)
+    seqs = _labeled(sequencing.read_sequences(source), manifest)
     out_dir = Path(args.out_dir)
 
     top = stats.top_sequences(seqs, args.top_k)
@@ -361,13 +358,15 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 
 
 def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
-    """The labeled sequences `eval` studies; at event granularity, grouped from a parsed-event store.
+    """The labeled sequences `eval` studies, and at event granularity the tally of their anomalous events.
 
-    An event-granularity sequence is labeled when each of its events carries
-    a label; the manifest records how many were not (`unlabeled_dropped`).
+    At event granularity the parsed-event store is read twice, to group it
+    and to tally it; a sequence is labeled when all its events carry a label.
     """
+    from . import sequencing
+
+    tally = None
     if granularity == "event":
-        from . import sequencing
         from .events import read_events
 
         greport = sequencing.GroupingReport()
@@ -376,21 +375,17 @@ def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
         manifest.record("discarded_no_id", greport.discarded_no_id)
         if greport.discarded_no_id:
             manifest.warn(f"{greport.discarded_no_id} events without a sequence id were discarded")
-        labeled = [seq for seq in seqs if seq.label is not None]
-        dropped = len(seqs) - len(labeled)
-        manifest.record("unlabeled_dropped", dropped)
-        if dropped and not labeled:
+        seqs = _labeled(seqs, manifest, "sequences with unlabeled events")
+        if greport.grouped_events and not seqs:
             raise EvalDataError(
                 f"evaluation refused: no sequence of {source} has a label on every event "
                 "(events parsed with a sequence-file profile carry no label)"
             )
-        if dropped:
-            manifest.warn(f"dropped {dropped} sequences with unlabeled events")
-        seqs = labeled
+        tally = sequencing.tally_anomalous_events(read_events(source), seqs)
     else:
-        seqs = _load_labeled_sequences(source, manifest)
+        seqs = _labeled(sequencing.read_sequences(source), manifest)
     manifest.time_stage("load")
-    return seqs
+    return seqs, tally
 
 
 def _study(args: argparse.Namespace, seqs, config, **options):
@@ -411,14 +406,11 @@ def cmd_eval(args: argparse.Namespace) -> int:
         raise ValidationError("--dump-scores is not supported with --granularity event")
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    seqs = _load_for_eval(source, args.granularity, manifest)
-    config = evaluation.EvalConfig(
-        train_fraction=args.train_frac,
-        repetitions=args.runs,
-        rng_seed=args.seed,
-        granularity=args.granularity,
+    seqs, tally = _load_for_eval(source, args.granularity, manifest)
+    config = evaluation.EvalConfig(args.train_frac, args.runs, args.seed)
+    report = _study(
+        args, seqs, config, anomalous_events=tally, jobs=args.jobs, dump_run0_scores=args.dump_scores
     )
-    report = _study(args, seqs, config, jobs=args.jobs, dump_run0_scores=args.dump_scores)
     out_dir = Path(args.out_dir)
     with atomic_write(out_dir / "results.csv") as handle:
         evaluation.write_results_csv(report, handle)
@@ -450,7 +442,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
 
     source = resolve_input(args.input)
     manifest = Manifest(args, [source])
-    seqs = _load_for_eval(source, "sequence", manifest)
+    seqs, _ = _load_for_eval(source, "sequence", manifest)
     config = evaluation.EvalConfig(train_fraction=args.train_frac, repetitions=1, rng_seed=args.seed)
     report = _study(args, seqs, config, jobs=1)
     refused = [o.detector for o in report.outcomes if o.not_applicable]

@@ -3,8 +3,11 @@
 Training data is sampled from the normal class only; the test set is the
 remaining normals plus all anomalies. A run scores units: test sequences
 at sequence granularity, or the events of the test sequences, against
-their own labels, at event granularity. Both kinds share one loop from a
-run's split to its rows, one confusion count and one report assembly.
+their own labels, at event granularity. Both kinds share one split, one
+confusion count and one report assembly. At event granularity, training
+sequences and all their events are normal, so a run's counts follow from
+the study's anomalous and normal events per type, `A[e]` and `N[e]`: `tp`
+and `fp` sum them over the types unseen in training.
 
 At sequence granularity, each distinct base detector is fitted once per
 run and scores the test set once, giving one score column per base.
@@ -40,7 +43,8 @@ import statistics
 import time
 from array import array
 from bisect import bisect_right
-from typing import Callable, Iterable, NamedTuple, Sequence as PySequence, TextIO
+from collections import Counter
+from typing import Callable, Iterable, Mapping, NamedTuple, Sequence as PySequence, TextIO
 
 from .detectors import Detector, NewEventTypeDetector, make_detector
 from .errors import DetectorNotApplicable, EvalDataError, ValidationError
@@ -59,7 +63,6 @@ class _EvalConfigFields(NamedTuple):
     train_fraction: float = 0.01
     repetitions: int = 25
     rng_seed: int = 1
-    granularity: str = "sequence"
 
 
 class EvalConfig(_EvalConfigFields):
@@ -83,8 +86,6 @@ class EvalConfig(_EvalConfigFields):
             raise ValidationError("train_fraction must lie strictly between 0 and 1")
         if self.repetitions < 1:
             raise ValidationError("repetitions must be >= 1")
-        if self.granularity not in ("sequence", "event"):
-            raise ValidationError(f"unknown granularity: {self.granularity!r}")
         return self
 
 
@@ -187,7 +188,6 @@ ScoreDump = dict[str, list[tuple[str, float, bool, str]]]
 
 
 class StudyReport(NamedTuple):
-    granularity: str
     outcomes: list[RunOutcome]
     summaries: list[DetectorSummary]
     warnings: list[str]
@@ -288,24 +288,51 @@ def _score_column(
     return [scores[i] for i in index]
 
 
+#: `A[e]` and `N[e]`, the study's anomalous and normal events per event type.
+EventCounts = tuple[Mapping[int, int], Mapping[int, int]]
+
+
+def _event_counts(seqs: list[Sequence], anomalous_events: Mapping[int, int]) -> EventCounts:
+    """EvalDataError when the anomalous sequences cannot hold the `A[e]` tally."""
+    total: Counter = Counter()
+    held: Counter = Counter()
+    for seq in seqs:
+        total.update(seq.events)
+        if seq.label is not None and seq.label.anomalous:
+            held.update(seq.events)
+    for event, count in anomalous_events.items():
+        if not 0 <= count <= held[event]:
+            raise EvalDataError(
+                f"{count} anomalous events of type {event}, but the anomalous sequences hold {held[event]}"
+            )
+    normal = {event: n - anomalous_events.get(event, 0) for event, n in total.items()}
+    return anomalous_events, normal
+
+
+def _event_outcome(train: list[Sequence], counts: EventCounts, run_index: int) -> RunOutcome:
+    """The `event` row over the test events: flagged iff the type is unseen in `train`."""
+    anomalous, normal = counts
+    known = NewEventTypeDetector().fit(train).known_events
+    anomalies, normals = sum(anomalous.values()), sum(normal.values())
+    tp = array("I", [anomalies - sum(anomalous.get(e, 0) for e in known)])
+    fp = array("I", [normals - sum(normal.get(e, 0) for e in known)])
+    normals -= sum(map(len, train))
+    best = _best_index(tp, fp, anomalies)
+    return RunOutcome(run_index, "event", len(train), False, anomalies, normals, tp, fp, best)
+
+
 def _evaluate_one_run(
     seqs: list[Sequence],
     config: EvalConfig,
     detector_specs: PySequence[str],
     factory: DetectorFactory,
     dump_run0_scores: bool,
+    event_counts: EventCounts | None,
     run_index: int,
 ) -> tuple[list[RunOutcome], ScoreDump]:
     train, test = split(seqs, config, run_index)
-    if config.granularity == "event":
-        known = NewEventTypeDetector().fit(train).known_events
-        anomalous, scores = [], []
-        for seq in test:
-            for event, label in zip(seq.events, seq.event_labels):
-                anomalous.append(label.anomalous)
-                scores.append(1.0 if event not in known else 0.0)
-        outcome = evaluate_run("event", False, anomalous, scores, run=run_index, train_size=len(train))
-        return [outcome], {}
+    if event_counts is not None:
+        return [_event_outcome(train, event_counts, run_index)], {}
     anomalous = [seq.label.anomalous for seq in test]
     ids: dict[tuple[int, ...], int] = {}
     index, unique = [], []
@@ -387,6 +414,7 @@ def evaluate_study(
     detector_factory: DetectorFactory = make_detector,
     jobs: int = 1,
     dump_run0_scores: bool = False,
+    anomalous_events: Mapping[int, int] | None = None,
 ) -> StudyReport:
     """Run the full repeated-sampling study for a set of detector rows.
 
@@ -401,23 +429,20 @@ def evaluate_study(
     identical whatever the process count. Each run logs one INFO line, in
     run order, with its row count and wall seconds.
 
-    At event granularity every sequence must carry per-event labels, and
-    `detector_specs` must name only the threshold-free `event` row (an
-    event is flagged iff its type is unseen in the run's training
-    sequences); it writes no score dump.
+    `anomalous_events`, the count of anomalous events per event type in
+    `seqs`, selects event granularity. `detector_specs` must then name only
+    the threshold-free `event` row, and no score dump is written. A tally
+    that counts more anomalous events of a type than the anomalous
+    sequences hold raises EvalDataError.
     """
     if jobs < 1:
         raise ValidationError("jobs must be >= 1")
-    if config.granularity == "event":
+    if anomalous_events is not None:
         others = [spec for spec in detector_specs if spec.strip().lower() != "event"]
         if others:
             raise ValidationError(
                 "event-granularity evaluation scores only the 'event' detector, not: "
                 + ", ".join(others)
-            )
-        if any(s.event_labels is None for s in seqs):
-            raise EvalDataError(
-                "event-granularity evaluation requires per-event labels on every sequence"
             )
     if not detector_specs:
         raise ValidationError("no detector rows to evaluate")
@@ -425,7 +450,8 @@ def evaluate_study(
     for i, name in enumerate(names):
         if name in names[:i]:
             raise ValidationError(f"detector row {name!r} is named more than once")
-    args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores)
+    event_counts = None if anomalous_events is None else _event_counts(seqs, anomalous_events)
+    args = (seqs, config, tuple(detector_specs), detector_factory, dump_run0_scores, event_counts)
     runs = range(config.repetitions)
     width = min(jobs, len(runs))
     if width > 1 and not hasattr(os, "fork"):
@@ -454,7 +480,7 @@ def evaluate_study(
         summaries.append(_summarize_detector(detector, detector_outcomes))
         warnings.extend(_degeneracy_warnings(detector, detector_outcomes))
     train_sizes = sorted({o.train_size for o in outcomes})
-    return StudyReport(config.granularity, outcomes, summaries, warnings, train_sizes, score_dump)
+    return StudyReport(outcomes, summaries, warnings, train_sizes, score_dump)
 
 
 def _fmt(value: float | None) -> str:

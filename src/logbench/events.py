@@ -2,17 +2,19 @@
 
 This module imports only `errors` and the standard library, so the stages
 after `parse` read parsed events and labels without loading the parser
-(`ingest`) or `datetime`.
+(`ingest`) or `datetime`. Every text input but the raw log, whose parser
+replaces bad bytes, is read through `open_utf8`.
 """
 
 from __future__ import annotations
 
 import csv
+from contextlib import contextmanager
 from math import isfinite
 from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO, TypeVar
 
-from .errors import ValidationError
+from .errors import LogbenchError, ValidationError
 
 T = TypeVar("T")
 
@@ -114,6 +116,27 @@ def write_store(handle: TextIO, header: tuple[str, ...], rows: Iterable[tuple[st
     return n
 
 
+@contextmanager
+def open_utf8(path: str | Path, error: type[LogbenchError] = ValidationError, newline: str | None = None):
+    """`path` opened as UTF-8 text; a read that does not decode raises `error` at path:line.
+
+    Only that error path reads the file again, in binary, to find the line.
+    """
+    with open(path, encoding="utf-8", newline=newline) as handle:
+        try:
+            yield handle
+            return
+        except UnicodeDecodeError:
+            pass
+    with open(path, "rb") as handle:
+        for line_no, line in enumerate(handle, 1):
+            try:
+                line.decode("utf-8")
+            except UnicodeDecodeError as exc:
+                raise error(f"{path}:{line_no}: not valid UTF-8 (byte {line[exc.start]:#04x})") from None
+    raise error(f"{path}: not valid UTF-8")
+
+
 def read_store(path: str | Path, header: tuple[str, ...], parse_row: Callable[[list[str]], T]) -> Iterator[T]:
     """Each row of a tab-separated store through `parse_row`; blank lines are skipped.
 
@@ -121,10 +144,10 @@ def read_store(path: str | Path, header: tuple[str, ...], parse_row: Callable[[l
     and it does not parse as a record (no header does: `label` is not a
     label and `line_no` not an integer), so a store without a header keeps
     a first record named like that column. A row with the wrong number of
-    columns, or one `parse_row` rejects with ValueError or ValidationError,
-    raises ValidationError at path:line.
+    columns, one `parse_row` rejects with ValueError or ValidationError, or
+    one that is not UTF-8 raises ValidationError at path:line.
     """
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         reader = csv.reader(handle, delimiter="\t")
         for row in reader:
             if not row:

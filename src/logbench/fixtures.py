@@ -90,46 +90,6 @@ def synthetic_corpus(
     return seqs
 
 
-def event_labeled_corpus(
-    n_normal: int = 60, n_anomalous: int = 15, seed: int = 11
-) -> list[Sequence]:
-    """Corpus with per-event labels for event-granularity evaluation tests.
-
-    Anomalous sequences contain event 99 whose occurrences are the labeled
-    anomalous events; the sequence label is the lifted event label.
-    """
-    rng = random.Random(seed)
-    seqs = []
-    base = _BASE_TIME
-    for i in range(n_normal):
-        events = list(NORMAL_LONG if rng.random() < 0.5 else NORMAL_SHORT)
-        seqs.append(
-            Sequence(
-                f"normal-{i:04d}",
-                events,
-                _timestamps(base, len(events)),
-                NORMAL,
-                event_labels=[NORMAL] * len(events),
-            )
-        )
-        base += 100.0
-    fault = Label(True, "fault")
-    for j in range(n_anomalous):
-        events = list(_ANOMALY_EVENTS["new-event"])
-        labels = [fault if e == 99 else NORMAL for e in events]
-        seqs.append(
-            Sequence(
-                f"fault-{j:02d}",
-                events,
-                _timestamps(base, len(events)),
-                Label(True, "fault"),
-                event_labels=labels,
-            )
-        )
-        base += 100.0
-    return seqs
-
-
 def _main() -> None:
     """Regenerate the bundled corpus data file (developer utility)."""
     import sys

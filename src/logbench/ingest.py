@@ -54,7 +54,7 @@ from pathlib import Path
 from typing import Callable, Iterable, Iterator, NamedTuple, TextIO
 
 from .errors import CatalogError, ProfileError, ValidationError
-from .events import NORMAL, Label, ParsedEvent
+from .events import NORMAL, Label, ParsedEvent, open_utf8
 from .events import read_events, write_events  # noqa: F401  (the store stays reachable from `ingest`)
 
 LOGGER = logging.getLogger("logbench.ingest")
@@ -224,12 +224,13 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
     """Load a catalog file: one `<id><TAB><pattern>` template per line.
 
     Blank lines and `#` comments are skipped. Raises CatalogError with the
-    offending line number for malformed lines or duplicate ids.
+    offending line number for malformed lines, duplicate ids or a line that
+    is not valid UTF-8.
     """
     path = Path(path)
     templates = []
     seen: set[int] = set()
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path, CatalogError) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n\r")
             if not line.strip() or line.lstrip().startswith("#"):
@@ -314,7 +315,7 @@ def load_profile_file(path: str | Path) -> DatasetProfile:
     """Load a flat key = value profile file; every ProfileError names the file."""
     path = Path(path)
     values: dict[str, object] = {}
-    with open(path, encoding="utf-8") as handle:
+    with open_utf8(path, ProfileError) as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.strip()
             if not line or line.startswith("#"):

@@ -10,6 +10,10 @@ tuple of the read, and the stamps as one `array('d')` when all of them are
 present. A sequence with a missing stamp keeps a list with None in its
 place. A sequence compares by value, so both forms of the same sequence
 are equal, and both write out the same bytes.
+
+A grouped sequence's label is a running value over its events: normal,
+then the first anomalous event's label, and None for good once an event
+has none. No sequence keeps its events' labels.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ValidationError
-from .events import Label, NORMAL, ParsedEvent, format_label, label_reader, read_store, write_store
+from .events import Label, NORMAL, ParsedEvent, format_label, label_reader, open_utf8, read_store, write_store
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
@@ -37,14 +41,12 @@ class Sequence:
     from the store, where equal tuples are one shared object. timestamps,
     when present, has exactly one entry per event: a list, where a missing
     stamp is None, or an `array('d')` read from a store row with every stamp
-    present. event_labels is carried for event-granularity evaluation on
-    datasets labeled per line. Two sequences are equal when all their fields
-    hold the same values, whatever their container, so
-    `Sequence("a", [1]) == Sequence("a", (1,))`; a sequence is mutable, so it
-    is not hashable.
+    present. Two sequences are equal when all their fields hold the same
+    values, whatever their container, so `Sequence("a", [1]) ==
+    Sequence("a", (1,))`; a sequence is mutable, so it is not hashable.
     """
 
-    __slots__ = ("seq_id", "events", "timestamps", "label", "event_labels")
+    __slots__ = ("seq_id", "events", "timestamps", "label")
 
     def __init__(
         self,
@@ -52,23 +54,15 @@ class Sequence:
         events: list[int] | tuple[int, ...],
         timestamps: list[float | None] | array | None = None,
         label: Label | None = None,
-        event_labels: list[Label] | None = None,
     ):
         self.seq_id = seq_id
         self.events = events
         self.timestamps = timestamps
         self.label = label
-        self.event_labels = event_labels
 
     def _values(self) -> tuple:
-        stamps, labels = self.timestamps, self.event_labels
-        return (
-            self.seq_id,
-            tuple(self.events),
-            None if stamps is None else tuple(stamps),
-            self.label,
-            None if labels is None else tuple(labels),
-        )
+        stamps = self.timestamps
+        return (self.seq_id, tuple(self.events), None if stamps is None else tuple(stamps), self.label)
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
@@ -96,18 +90,9 @@ class GroupingReport:
 
 
 def _finalize(seq: Sequence) -> Sequence:
-    """Drop all-None timestamps; lift the event labels when every event has one, else drop them.
-
-    This is the one place where a grouped sequence gets its label from its
-    events.
-    """
+    """Drop all-None timestamps."""
     if seq.timestamps is not None and all(t is None for t in seq.timestamps):
         seq.timestamps = None
-    if seq.event_labels is not None:
-        if any(l is None for l in seq.event_labels):
-            seq.event_labels = None
-        else:
-            lift_event_labels(seq)
     return seq
 
 
@@ -128,14 +113,16 @@ def group_by_identifier(
         if not ev.seq_ids:
             report.discarded_no_id += 1
             continue
+        label = ev.label
         for sid in ev.seq_ids:
             seq = sequences.get(sid)
             if seq is None:
-                seq = Sequence(sid, [], [], event_labels=[])
+                seq = Sequence(sid, [], [], NORMAL)
                 sequences[sid] = seq
             seq.events.append(ev.event_id)
             seq.timestamps.append(ev.timestamp)  # type: ignore[union-attr]
-            seq.event_labels.append(ev.label)  # type: ignore[union-attr]
+            if label is None or (label.anomalous and seq.label is NORMAL):
+                seq.label = label
             report.grouped_events += 1
     return [_finalize(seq) for seq in sequences.values()]
 
@@ -188,20 +175,27 @@ def group_by_window(
     out = []
     for s in starts:
         chunk = stream[s : s + window_size]
-        seq = Sequence(
-            f"window-{s}",
-            [ev.event_id for ev in chunk],
-            [ev.timestamp for ev in chunk],
-            event_labels=[ev.label for ev in chunk],
-        )
+        seq = Sequence(f"window-{s}", [ev.event_id for ev in chunk], [ev.timestamp for ev in chunk], NORMAL)
+        for ev in chunk:
+            if ev.label is None or (ev.label.anomalous and seq.label is NORMAL):
+                seq.label = ev.label
         out.append(_finalize(seq))
     return out
 
 
-def lift_event_labels(seq: Sequence) -> Sequence:
-    """Label the sequence with its first anomalous event label, else normal (also when it is empty)."""
-    seq.label = next((l for l in seq.event_labels if l.anomalous), NORMAL)
-    return seq
+def tally_anomalous_events(events: Iterable[ParsedEvent], seqs: Iterable[Sequence]) -> Counter:
+    """Per event type, the anomalous events of the labeled ones of `seqs`, grouped by id from `events`.
+
+    An event counts once per labeled sequence it joined, so not at all without an identifier.
+    """
+    labeled = {seq.seq_id for seq in seqs if seq.label is not None}
+    tally: Counter = Counter()
+    for ev in events:
+        if ev.label is not None and ev.label.anomalous:
+            for sid in ev.seq_ids:
+                if sid in labeled:
+                    tally[ev.event_id] += 1
+    return tally
 
 
 def attach_sequence_labels(
@@ -244,7 +238,7 @@ def load_label_file(path: str | Path) -> dict[str, Label]:
     """
     path = Path(path)
     labels: dict[str, Label] = {}
-    with open(path, encoding="utf-8", newline="") as handle:
+    with open_utf8(path, newline="") as handle:
         sample = handle.read(4096)
         handle.seek(0)
         delimiter = "\t" if sample.count("\t") > sample.count(",") else ","

@@ -7,8 +7,8 @@ import pytest
 
 sys.path.insert(0, str(Path(__file__).parent))
 
-from logbench.fixtures import event_labeled_corpus
-from logbench.events import ParsedEvent, write_events
+from corpora import event_labeled_corpus
+from logbench.events import write_events
 from logbench.ingest import load_profile, load_template_catalog
 
 
@@ -43,13 +43,7 @@ def bundled_corpus_path():
 @pytest.fixture()
 def event_store(tmp_path):
     """Parsed events with per-event labels, as read by `eval --granularity event`."""
-    events = []
-    line_no = 0
-    for seq in event_labeled_corpus(n_normal=25, n_anomalous=5):
-        for event, ts, label in zip(seq.events, seq.timestamps, seq.event_labels):
-            line_no += 1
-            events.append(ParsedEvent(line_no, event, ts, (seq.seq_id,), label))
     events_path = tmp_path / "events.tsv"
     with open(events_path, "w", newline="") as handle:
-        write_events(events, handle)
+        write_events(event_labeled_corpus(n_normal=25, n_anomalous=5), handle)
     return events_path

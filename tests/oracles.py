@@ -7,7 +7,9 @@ combination oracle builds single base detectors with `make_detector`;
 the per-run scoring it verifies lives in `logbench.evaluation`. The
 sweep oracle builds every result row, metrics included, with the
 evaluation's record types and `metrics_from_counts`, and picks the best
-row among them, where the evaluation keeps only confusion counts.
+row among them, where the evaluation keeps only confusion counts. The
+event-granularity oracle groups and labels on its own and walks every test
+event; it shares only the run's sampling, `evaluation.split`.
 """
 
 from __future__ import annotations
@@ -19,7 +21,9 @@ from collections import Counter
 
 from logbench.detectors import make_detector
 from logbench.errors import DetectorNotApplicable
-from logbench.evaluation import FLAG_CUTOFF, THRESHOLD_GRID, ConfusionCounts, EvalResult, metrics_from_counts
+from logbench.evaluation import FLAG_CUTOFF, THRESHOLD_GRID, ConfusionCounts, EvalResult, metrics_from_counts, split
+from logbench.events import NORMAL
+from logbench.sequencing import Sequence
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -183,6 +187,38 @@ def confusion_naive(scores, labels, threshold):
             fp += flagged
             tn += not flagged
     return tp, fp, tn, fn
+
+
+def event_confusion_naive(events, config, run_index) -> ConfusionCounts:
+    """One event-granularity run's counts, from a label list kept per grouped sequence.
+
+    Groups `events` by identifier, keeping each event's label. A sequence
+    with an unlabeled event is dropped; the others take their first
+    anomalous event's label, else normal. Each event of the run's test
+    sequences is then a unit, flagged when no training sequence holds its
+    type, and counted against its own label.
+    """
+    grouped: dict[str, tuple[list[int], list]] = {}
+    for ev in events:
+        for sid in ev.seq_ids:
+            types, labels = grouped.setdefault(sid, ([], []))
+            types.append(ev.event_id)
+            labels.append(ev.label)
+    seqs, labels_of = [], {}
+    for sid, (types, labels) in grouped.items():
+        if any(label is None for label in labels):
+            continue
+        lifted = next((label for label in labels if label.anomalous), NORMAL)
+        seqs.append(Sequence(sid, types, None, lifted))
+        labels_of[sid] = labels
+    train, test = split(seqs, config, run_index)
+    known = {e for seq in train for e in seq.events}
+    anomalous, scores = [], []
+    for seq in test:
+        for event, label in zip(seq.events, labels_of[seq.seq_id]):
+            anomalous.append(label.anomalous)
+            scores.append(1.0 if event not in known else 0.0)
+    return ConfusionCounts(*confusion_naive(scores, anomalous, FLAG_CUTOFF))
 
 
 def evaluate_run_listed(detector, thresholded, anomalous, scores, *, run=0, train_size=0):

@@ -711,3 +711,43 @@ def test_data_dir_env_resolution(tmp_path, monkeypatch, bundled_corpus_path):
         "--out-dir", out_dir,
     )
     assert code == 0
+
+
+class TestInvalidUtf8:
+    """A text input with a byte that is not UTF-8 ends in `error: path:line:` and exit 2, not a traceback."""
+
+    @staticmethod
+    def refused(capsys, path, argv):
+        assert run(*argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {path}:3: not valid UTF-8 (byte 0xff)"), err
+
+    def test_event_store(self, tmp_path, capsys):
+        store = tmp_path / "events.tsv"
+        store.write_bytes(b"line_no\tevent_id\ttimestamp\tseq_id\tlabel\n1\t1\t\ta\tnormal\n2\xff\t1\t\tb\tnormal\n")
+        self.refused(capsys, store, ["group", "--input", store, "--out", tmp_path / "seqs.tsv"])
+
+    def test_sequence_store(self, tmp_path, capsys):
+        store = tmp_path / "seqs.tsv"
+        store.write_bytes(b"seq_id\tlabel\tevents\ttimestamps\na\tnormal\t1 2\t\nb\xff\tnormal\t1\t\n")
+        self.refused(capsys, store, ["stats", "--input", store, "--out-dir", tmp_path / "stats"])
+
+    def test_label_file(self, tmp_path, parsed_events, capsys):
+        labels = tmp_path / "labels.csv"
+        labels.write_bytes(b"seq_id,label\nblk_1,normal\nb\xff,anomaly\n")
+        argv = ["group", "--input", parsed_events, "--labels", labels, "--out", tmp_path / "seqs.tsv"]
+        self.refused(capsys, labels, argv)
+
+    def test_template_catalog(self, tmp_path, synthetic_log_path, capsys):
+        catalog = tmp_path / "bad.templates"
+        catalog.write_bytes(b"1\tStarting transfer for <*>\n\n#\xff comment\n")
+        argv = ["parse", "--profile", "synthetic", "--templates", catalog, "--input", synthetic_log_path,
+                "--out", tmp_path / "events.tsv"]
+        self.refused(capsys, catalog, argv)
+
+    def test_profile_file(self, tmp_path, synthetic_log_path, capsys):
+        profile = tmp_path / "bad.profile"
+        profile.write_bytes(b"name = x\nlabel_source = sequence-file\n#\xff\n")
+        argv = ["parse", "--profile", profile, "--templates", DATA / "synthetic.templates",
+                "--input", synthetic_log_path, "--out", tmp_path / "events.tsv"]
+        self.refused(capsys, profile, argv)

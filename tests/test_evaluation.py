@@ -16,7 +16,7 @@ from collections import Counter, defaultdict
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from logbench import evaluation
 from logbench.cli import main as cli_main
@@ -38,11 +38,12 @@ from logbench.evaluation import (
     write_scores_csv,
     write_summary_csv,
 )
-from logbench.fixtures import event_labeled_corpus, synthetic_corpus
-from logbench.events import Label, NORMAL
+from logbench.fixtures import synthetic_corpus
+from logbench.events import Label, NORMAL, ParsedEvent
 from logbench.sequencing import Sequence, read_sequences
 
-from oracles import combination_scores_naive, confusion_naive, evaluate_run_listed
+from corpora import event_labeled_corpus, event_study
+from oracles import combination_scores_naive, confusion_naive, evaluate_run_listed, event_confusion_naive
 
 BUNDLED = Path(__file__).parent.parent / "src" / "logbench" / "data" / "synthetic_sequences.tsv"
 
@@ -101,7 +102,7 @@ class TestConfig:
             EvalConfig(train_fraction=0.0)
 
     @pytest.mark.parametrize(
-        "change", [{"train_fraction": 1.0}, {"repetitions": 0}, {"granularity": "window"}]
+        "change", [{"train_fraction": 1.0}, {"repetitions": 0}, {"train_fraction": 0.0}]
     )
     def test_replace_validates(self, change):
         config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=5)
@@ -363,9 +364,10 @@ class TestEvaluateStudy:
 
     @pytest.mark.parametrize("granularity", ["sequence", "event"])
     def test_empty_row_list_refused(self, granularity):
-        config = EvalConfig(train_fraction=0.1, repetitions=2, granularity=granularity)
+        config = EvalConfig(train_fraction=0.1, repetitions=2)
+        seqs, tally = event_study(event_labeled_corpus())
         with pytest.raises(ValidationError, match="no detector rows"):
-            evaluate_study(event_labeled_corpus(), config, [])
+            evaluate_study(seqs, config, [], anomalous_events=tally if granularity == "event" else None)
 
     def test_parallel_equals_serial(self):
         seqs = synthetic_corpus(n_normal=60, per_anomaly=4)
@@ -479,7 +481,7 @@ class TestSharedScoreColumns:
         rng = random.Random(100 * jobs + 10 * dump + timestamps)
         for seqs, trial in itertools.product((read_sequences(BUNDLED), repetitive_corpus()), range(3)):
             if not timestamps:
-                seqs = [Sequence(s.seq_id, s.events, None, s.label, s.event_labels) for s in seqs]
+                seqs = [Sequence(s.seq_id, s.events, None, s.label) for s in seqs]
             specs = random_specs(rng)
             config = EvalConfig(train_fraction=0.1, repetitions=2, rng_seed=trial)
             report = evaluate_study(seqs, config, specs, jobs=jobs, dump_run0_scores=dump)
@@ -548,7 +550,7 @@ class TestSharedScoreColumns:
         assert factory.scores == factory.fits
 
     def test_not_applicable_member_is_fitted_once(self):
-        seqs = [Sequence(s.seq_id, s.events, None, s.label, s.event_labels) for s in read_sequences(BUNDLED)]
+        seqs = [Sequence(s.seq_id, s.events, None, s.label) for s in read_sequences(BUNDLED)]
         factory = CountingFactory()
         config = EvalConfig(train_fraction=0.1, repetitions=1)
         report = evaluate_study(seqs, config, ["timing", "event+timing", "event"], detector_factory=factory)
@@ -557,62 +559,115 @@ class TestSharedScoreColumns:
         assert factory.scores == {"event": 1}
 
 
+#: Event types, and the labels an event may carry, in generated event streams.
+EVENT_TYPES = st.integers(min_value=0, max_value=7)
+ANOMALOUS_LABELS = st.sampled_from([Label(True, "a"), Label(True, "b")])
+
+
+@st.composite
+def labeled_event_streams(draw):
+    """A shuffled event stream: normal sequences, anomalous ones with mixed labels,
+    partly unlabeled ones, rows without an id, and a few rows shared by two ids."""
+    rows = []
+    for i in range(draw(st.integers(min_value=2, max_value=6))):
+        rows += [((f"n{i}",), e, NORMAL) for e in draw(st.lists(EVENT_TYPES, min_size=1, max_size=6))]
+    mixed = st.tuples(EVENT_TYPES, st.one_of(st.just(NORMAL), ANOMALOUS_LABELS))
+    for i in range(draw(st.integers(min_value=1, max_value=4))):
+        rows += [((f"a{i}",), e, label) for e, label in draw(st.lists(mixed, max_size=5))]
+        rows.append(((f"a{i}",), draw(EVENT_TYPES), draw(ANOMALOUS_LABELS)))
+    for i in range(draw(st.integers(min_value=0, max_value=2))):
+        rows += [((f"u{i}",), e, label) for e, label in draw(st.lists(mixed, max_size=3))]
+        rows.append(((f"u{i}",), draw(EVENT_TYPES), None))
+    maybe = st.one_of(st.none(), st.just(NORMAL), ANOMALOUS_LABELS)
+    rows += [((), e, label) for e, label in draw(st.lists(st.tuples(EVENT_TYPES, maybe), max_size=3))]
+    ids = sorted({sid for sids, _, _ in rows for sid in sids})
+    shared = st.tuples(st.lists(st.sampled_from(ids), min_size=2, max_size=2, unique=True), EVENT_TYPES, maybe)
+    rows += [(tuple(sids), e, label) for sids, e, label in draw(st.lists(shared, max_size=2))]
+    draw(st.randoms(use_true_random=False)).shuffle(rows)
+    return [ParsedEvent(n, e, None, sids, label) for n, (sids, e, label) in enumerate(rows, 1)]
+
+
 class TestEvaluateEvents:
+    @settings(max_examples=200, deadline=None)
+    @given(labeled_event_streams(), st.sampled_from([0.2, 0.5, 0.8]), st.integers(min_value=0, max_value=9))
+    def test_counts_match_the_per_event_loop(self, events, fraction, seed):
+        config = EvalConfig(train_fraction=fraction, repetitions=3, rng_seed=seed)
+        seqs, tally = event_study(events)
+        try:
+            expected = [event_confusion_naive(events, config, run) for run in range(config.repetitions)]
+        except EvalDataError:
+            with pytest.raises(EvalDataError):
+                evaluate_study(seqs, config, ["event"], anomalous_events=tally)
+            return
+        report = evaluate_study(seqs, config, ["event"], anomalous_events=tally)
+        assert [o.results()[0].counts for o in report.outcomes] == expected
+
     def test_disjoint_anomalous_types_full_recall(self):
-        seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
+        seqs, tally = event_study(event_labeled_corpus(n_normal=40, n_anomalous=10))
         config = EvalConfig(train_fraction=0.2, repetitions=3, rng_seed=2)
-        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
-        assert report.granularity == "event"
+        report = evaluate_study(seqs, config, ["event"], anomalous_events=tally)
         for outcome in report.outcomes:
             assert outcome.best().metrics.recall == pytest.approx(1.0)
 
     def test_full_training_coverage_no_false_positives(self):
-        seqs = event_labeled_corpus(n_normal=40, n_anomalous=10)
+        seqs, tally = event_study(event_labeled_corpus(n_normal=40, n_anomalous=10))
         config = EvalConfig(train_fraction=0.5, repetitions=2, rng_seed=2)
-        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
+        report = evaluate_study(seqs, config, ["event"], anomalous_events=tally)
         for outcome in report.outcomes:
             assert outcome.results()[0].counts.fp == 0
             assert outcome.best().metrics.tnr == pytest.approx(1.0)
 
     def test_confusion_is_over_events(self):
-        seqs = event_labeled_corpus(n_normal=10, n_anomalous=3)
+        seqs, tally = event_study(event_labeled_corpus(n_normal=10, n_anomalous=3))
         config = EvalConfig(train_fraction=0.3, repetitions=1, rng_seed=0)
         train, test = split(seqs, config, 0)
-        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
+        report = evaluate_study(seqs, config, ["event"], anomalous_events=tally)
         total_events = sum(len(s) for s in test)
         assert report.outcomes[0].results()[0].counts.total == total_events
 
     def test_counts_flag_event_types_unseen_in_training(self):
-        seqs = event_labeled_corpus(n_normal=30, n_anomalous=8)
+        events = event_labeled_corpus(n_normal=30, n_anomalous=8)
+        seqs, tally = event_study(events)
         config = EvalConfig(train_fraction=0.1, repetitions=3, rng_seed=4)
-        report = evaluate_study(seqs, config._replace(granularity="event"), ["event"])
+        report = evaluate_study(seqs, config, ["event"], anomalous_events=tally)
         for r, outcome in enumerate(report.outcomes):
             train, test = split(seqs, config, r)
             known = {e for seq in train for e in seq.events}
             scores = [float(e not in known) for seq in test for e in seq.events]
-            labels = [lab.anomalous for seq in test for lab in seq.event_labels]
+            labels = [e == 99 for seq in test for e in seq.events]
             counts = outcome.results()[0].counts
             assert (counts.tp, counts.fp, counts.tn, counts.fn) == confusion_naive(scores, labels, 0.5)
+            assert counts == event_confusion_naive(events, config, r)
 
-    def test_refused_without_event_labels(self):
-        with pytest.raises(EvalDataError, match="per-event labels"):
-            evaluate_study(
-                tiny_dataset(), EvalConfig(train_fraction=0.2)._replace(granularity="event"), ["event"]
-            )
+    def test_refuses_a_tally_its_sequences_cannot_hold(self):
+        seqs, tally = event_study(event_labeled_corpus(n_normal=30, n_anomalous=5))
+        assert tally == {99: 5}
+        config = EvalConfig(train_fraction=0.2, repetitions=1)
+        # type 99 occurs 5 times in the anomalous sequences, type 7 in none of the sequences
+        for bad in ({99: 6}, {99: 5, 7: 1}, {99: -1}):
+            with pytest.raises(EvalDataError, match="the anomalous sequences hold"):
+                evaluate_study(seqs, config, ["event"], anomalous_events=bad)
+        # type 1 occurs once in each anomalous sequence, so its events may all be anomalous
+        report = evaluate_study(seqs, config, ["event"], anomalous_events={99: 5, 1: 5})
+        assert report.outcomes[0].anomalies == 10
 
     def test_refuses_rows_other_than_event(self):
-        seqs = event_labeled_corpus(n_normal=30, n_anomalous=5)
-        config = EvalConfig(train_fraction=0.2, repetitions=1, granularity="event")
+        seqs, tally = event_study(event_labeled_corpus(n_normal=30, n_anomalous=5))
+        config = EvalConfig(train_fraction=0.2, repetitions=1)
         with pytest.raises(ValidationError, match="not: ecvc, event\\+edit"):
-            evaluate_study(seqs, config, ["event", "ecvc", "event+edit"])
-        report = evaluate_study(seqs, config, [" Event "])
+            evaluate_study(seqs, config, ["event", "ecvc", "event+edit"], anomalous_events=tally)
+        report = evaluate_study(seqs, config, [" Event "], anomalous_events=tally)
         assert [s.detector for s in report.summaries] == ["event"]
 
     def test_granularity_dispatch(self):
-        seqs = event_labeled_corpus(n_normal=30, n_anomalous=5)
-        config = EvalConfig(train_fraction=0.2, repetitions=1, granularity="event")
-        report = evaluate_study(seqs, config, ["event"])
-        assert report.granularity == "event"
+        """The tally, even an empty one, selects the event units; without it a run scores sequences."""
+        seqs, tally = event_study(event_labeled_corpus(n_normal=30, n_anomalous=5))
+        config = EvalConfig(train_fraction=0.2, repetitions=1)
+        _, test = split(seqs, config, 0)
+        events = sum(map(len, test))
+        for anomalous_events, units, anomalies in ((tally, events, 5), ({}, events, 0), (None, len(test), 5)):
+            (outcome,) = evaluate_study(seqs, config, ["event"], anomalous_events=anomalous_events).outcomes
+            assert (outcome.results()[0].counts.total, outcome.anomalies) == (units, anomalies)
 
 
 def written(report) -> list[str]:

@@ -18,9 +18,9 @@ from logbench.sequencing import (
     dedupe_replicated,
     group_by_identifier,
     group_by_window,
-    lift_event_labels,
     load_label_file,
     read_sequences,
+    tally_anomalous_events,
     to_count_vector,
     write_sequences,
 )
@@ -62,14 +62,14 @@ class TestGroupByIdentifier:
         (seq,) = group_by_identifier(events)
         assert seq.events == [3, 1, 2]
 
-    def test_timestamps_and_event_labels_carried(self):
+    def test_timestamps_carried_and_label_lifted(self):
         events = [
             ev(1, 3, ["a"], ts=1.0, label=NORMAL),
             ev(2, 4, ["a"], ts=2.0, label=Label(True, "x")),
         ]
         (seq,) = group_by_identifier(events)
         assert seq.timestamps == [1.0, 2.0]
-        assert seq.event_labels == [NORMAL, Label(True, "x")]
+        assert seq.label == Label(True, "x")
 
     def test_label_lifted_when_every_event_has_one(self):
         events = [ev(1, 3, ["a"], label=NORMAL), ev(2, 4, ["a", "b"], label=Label(True, "x"))]
@@ -79,7 +79,8 @@ class TestGroupByIdentifier:
     def test_no_label_when_an_event_has_none(self):
         (seq,) = group_by_identifier([ev(1, 3, ["a"], label=Label(True, "x")), ev(2, 4, ["a"])])
         assert seq.label is None
-        assert seq.event_labels is None
+        (seq,) = group_by_identifier([ev(1, 3, ["a"]), ev(2, 4, ["a"], label=Label(True, "x"))])
+        assert seq.label is None
 
 
 class TestGroupByWindow:
@@ -142,31 +143,57 @@ class TestGroupByWindow:
         assert [e.line_no for e in dedupe_replicated(rows)] == [1, 2]
 
 
+def lifted(labels):
+    """The label each grouper gives one sequence of events with these labels."""
+    events = [ev(i, i, ["s"], label=label) for i, label in enumerate(labels, 1)]
+    (by_id,) = group_by_identifier(events)
+    (window,) = group_by_window(events, len(events), 1)
+    assert by_id.label == window.label
+    return by_id.label
+
+
 class TestLiftEventLabels:
     def test_all_normal(self):
-        seq = Sequence("s", [1, 2], event_labels=[NORMAL, NORMAL])
-        assert lift_event_labels(seq).label == NORMAL
+        assert lifted([NORMAL, NORMAL]) == NORMAL
+        assert lifted([Label(False), Label(False)]) == NORMAL
 
     def test_single_anomalous_event_dominates(self):
-        labels = [NORMAL] * 10_000 + [Label(True, "KERN")]
-        seq = Sequence("s", list(range(10_001)), event_labels=labels)
-        assert lift_event_labels(seq).label == Label(True, "KERN")
+        assert lifted([NORMAL] * 10_000 + [Label(True, "KERN")]) == Label(True, "KERN")
 
     def test_tag_comes_from_first_anomalous_event(self):
-        labels = [NORMAL, Label(True, "first"), Label(True, "second")]
-        seq = Sequence("s", [1, 2, 3], event_labels=labels)
-        assert lift_event_labels(seq).label.tag == "first"
-
-    def test_empty_sequence_degenerate_normal(self):
-        seq = Sequence("s", [], event_labels=[])
-        assert lift_event_labels(seq).label == NORMAL
+        assert lifted([NORMAL, Label(True, "first"), Label(True, "second")]).tag == "first"
 
     def test_monotone_adding_anomaly_never_clears(self):
-        seq = Sequence("s", [1], event_labels=[Label(True, "x")])
-        lift_event_labels(seq)
-        seq.events.append(2)
-        seq.event_labels.append(NORMAL)
-        assert lift_event_labels(seq).label.anomalous
+        assert lifted([Label(True, "x"), NORMAL]) == Label(True, "x")
+
+    def test_an_unlabeled_event_clears_it_for_good(self):
+        for labels in ([None, NORMAL], [Label(True, "x"), None], [None, Label(True, "x")], [NORMAL, None, NORMAL]):
+            assert lifted(labels) is None
+
+    def test_each_window_lifts_its_own_events(self):
+        labels = [NORMAL, Label(True, "x"), None, NORMAL, Label(True, "y"), NORMAL]
+        events = [ev(i, i, ["s"], label=label) for i, label in enumerate(labels, 1)]
+        assert [w.label for w in group_by_window(events, 2, 2)] == [Label(True, "x"), None, Label(True, "y")]
+
+
+class TestTallyAnomalousEvents:
+    def test_counts_anomalous_events_of_labeled_sequences_per_type(self):
+        bad, worse = Label(True, "bad"), Label(True, "worse")
+        events = [
+            ev(1, 5, ["a"], label=NORMAL),
+            ev(2, 7, ["a"], label=bad),
+            ev(3, 7, ["b"], label=worse),
+            ev(4, 7, ["a", "b"], label=bad),
+            ev(5, 8, ["u"], label=bad),
+            ev(6, 8, ["u"]),
+            ev(7, 9, [], label=bad),
+        ]
+        seqs = group_by_identifier(events)
+        assert [s.label for s in seqs] == [bad, worse, None]
+        # the shared row counts once per sequence; `u` is unlabeled and the id-less row joins none
+        assert tally_anomalous_events(events, seqs) == {7: 4}
+        assert tally_anomalous_events(events, seqs[:1]) == {7: 2}
+        assert tally_anomalous_events(events, []) == {}
 
 
 class TestAttachLabels:
@@ -285,7 +312,7 @@ class TestSequenceRecord:
         assert len(seq) == 2
         assert seq == Sequence("a", [1, 2], [0.0, None], NORMAL)
         assert seq != Sequence("a", [1, 2], [0.0, None], Label(True))
-        assert seq != ("a", [1, 2], [0.0, None], NORMAL, None)
+        assert seq != ("a", (1, 2), (0.0, None), NORMAL)
         with pytest.raises(TypeError):
             hash(seq)
         with pytest.raises(AttributeError):
@@ -295,7 +322,7 @@ class TestSequenceRecord:
         assert Sequence("a", [1]) == Sequence("a", (1,))
         assert Sequence("a", [1, 2], [0.5, 1.5]) == Sequence("a", (1, 2), array("d", [0.5, 1.5]))
         assert Sequence("a", [1], [0.5]) != Sequence("a", (1,), array("d", [0.25]))
-        assert Sequence("a", [1], None, NORMAL, [NORMAL]) == Sequence("a", (1,), None, NORMAL, (NORMAL,))
+        assert Sequence("a", [1], [None], NORMAL) == Sequence("a", (1,), [None], NORMAL)
 
 
 def test_rows_with_one_label_text_share_one_label(tmp_path):
