@@ -28,13 +28,15 @@ updates them in place.
 
 Both stores go through `events.read_store` and `events.write_store`.
 `sequencing` labels a grouped sequence from its events when every event
-has a label; `group --labels` replaces that label.
+has a label; `group --labels` replaces that label. Parsing a directory
+under a `file-dir` profile gives a file's events the file's id and the
+label of its path, so `group --mode file`, which is `--mode id`, lifts
+them.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import logging
@@ -183,17 +185,6 @@ def cmd_parse(args: argparse.Namespace) -> int:
             )
         with atomic_write(out) as handle:
             rows = write_events(events, handle, keep_unidentified=args.keep_unidentified)
-
-    if source.is_dir() and profile.label_source == "file-dir":
-        labels = ingest.dir_label_map(source, profile)
-        label_path = out.with_name(out.name + ".labels.csv")
-        with atomic_write(label_path) as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(("seq_id", "label"))
-            for sid in sorted(labels):
-                lab = labels[sid]
-                writer.writerow((sid, (lab.tag or "anomaly") if lab.anomalous else "normal"))
-        print(f"wrote per-file labels to {label_path}")
 
     manifest.time_stage("parse")
     manifest.record("lines_total", report.lines_total)
@@ -360,8 +351,9 @@ def cmd_complexity(args: argparse.Namespace) -> int:
 def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
     """The labeled sequences `eval` studies, and at event granularity the tally of their anomalous events.
 
-    At event granularity the parsed-event store is read twice, to group it
-    and to tally it; a sequence is labeled when all its events carry a label.
+    At event granularity the parsed-event store is read once: grouping it
+    lifts each sequence's label, labeled when all its events carry one, and
+    tallies the anomalous events of the labeled sequences.
     """
     from . import sequencing
 
@@ -381,7 +373,7 @@ def _load_for_eval(source: Path, granularity: str, manifest: Manifest):
                 f"evaluation refused: no sequence of {source} has a label on every event "
                 "(events parsed with a sequence-file profile carry no label)"
             )
-        tally = sequencing.tally_anomalous_events(read_events(source), seqs)
+        tally = greport.anomalous_events
     else:
         seqs = _labeled(sequencing.read_sequences(source), manifest)
     manifest.time_stage("load")
@@ -528,7 +520,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     g = sub.add_parser("group", help="group parsed events into labeled sequences")
     g.add_argument("--input", required=True, help="parsed-event file from `logbench parse`")
-    g.add_argument("--mode", default="id", choices=["id", "window", "file"], help="grouping mode")
+    g.add_argument("--mode", default="id", choices=["id", "window", "file"], help="grouping mode (file is id)")
     g.add_argument("--window", type=int, help="window size N for window mode")
     g.add_argument("--step", type=int, default=1, help="window step S (default: 1)")
     g.add_argument("--labels", help="per-sequence label file (seq_id,label)")

@@ -581,12 +581,14 @@ def parse_file(
     *,
     report: IngestReport | None = None,
     seq_id: str | None = None,
+    label: Label | None = None,
     unmatched_sink: TextIO | None = None,
 ) -> Iterator[ParsedEvent]:
     """Stream ParsedEvents from one log file in bounded memory.
 
     Pass `report` to collect the line accounting; `seq_id` forces every
-    event into one sequence (file-per-sequence datasets). In tokenized
+    event into one sequence (file-per-sequence datasets), and `label`, when
+    not None, gives every event that label instead of its line's. In tokenized
     mode each whitespace token is its own integer event and counts as one
     logical line. Unmatched lines are optionally dumped to `unmatched_sink`.
     One `LineParser` parses every line of the file.
@@ -594,9 +596,12 @@ def parse_file(
     if report is None:
         report = IngestReport()
     if profile.tokenized:
-        yield from _parse_tokenized(path, profile, report, seq_id)
+        yield from _parse_tokenized(path, profile, report, seq_id, label)
         return
     parser = LineParser(catalog, profile)
+    forced: dict[str, object] = {} if seq_id is None else {"seq_ids": (seq_id,)}
+    if label is not None:
+        forced["label"] = label
     with open(path, encoding="utf-8", errors="replace") as handle:
         for line_no, raw in enumerate(handle, 1):
             line = raw.rstrip("\n\r")
@@ -610,8 +615,8 @@ def parse_file(
                 if unmatched_sink is not None:
                     unmatched_sink.write(raw if raw.endswith("\n") else raw + "\n")
                 continue
-            if seq_id is not None:
-                event = event._replace(seq_ids=(seq_id,))
+            if forced:
+                event = event._replace(**forced)
             _count_event(report, event)
             yield event
 
@@ -621,6 +626,7 @@ def _parse_tokenized(
     profile: DatasetProfile,
     report: IngestReport,
     seq_id: str | None,
+    label: Label | None,
 ) -> Iterator[ParsedEvent]:
     sid = seq_id if seq_id is not None else Path(path).stem
     index = 0
@@ -632,7 +638,7 @@ def _parse_tokenized(
                 if not token.isdigit():
                     report.invalid_lines += 1
                     continue
-                event = ParsedEvent(index, int(token), None, (sid,))
+                event = ParsedEvent(index, int(token), None, (sid,), label)
                 _count_event(report, event)
                 yield event
 
@@ -643,35 +649,6 @@ def iter_dataset_files(root: str | Path) -> list[Path]:
     return sorted(p for p in root.rglob("*") if p.is_file())
 
 
-def dir_label_map(root: str | Path, profile: DatasetProfile) -> dict[str, Label]:
-    """Derive per-file sequence labels from the directory layout.
-
-    A file whose relative path matches anomaly_dir_pattern is anomalous
-    (tag = first capture group when present); everything else is normal.
-    """
-    root = Path(root)
-    pattern = _compile_profile_regex(profile, "anomaly_dir_pattern")
-    labels: dict[str, Label] = {}
-    for path in iter_dataset_files(root):
-        rel = path.relative_to(root).as_posix()
-        sid = _file_seq_id(path, root)
-        if pattern is None:
-            labels[sid] = NORMAL
-            continue
-        m = pattern.search(rel)
-        if m:
-            tag = m.group(1) if m.groups() else m.group(0)
-            labels[sid] = Label(True, tag)
-        else:
-            labels[sid] = NORMAL
-    return labels
-
-
-def _file_seq_id(path: Path, root: Path) -> str:
-    rel = path.relative_to(root)
-    return rel.as_posix()
-
-
 def parse_tree(
     root: str | Path,
     catalog: TemplateCatalog | None,
@@ -680,12 +657,25 @@ def parse_tree(
     report: IngestReport | None = None,
     unmatched_sink: TextIO | None = None,
 ) -> Iterator[ParsedEvent]:
-    """Stream events from every file under a directory, one sequence per file."""
+    """Stream events from every file under a directory, one sequence per file.
+
+    A file's sequence id is its path relative to `root`. Under
+    `label_source = file-dir` every event of a file gets the file's label:
+    anomalous when the relative path matches `anomaly_dir_pattern` (tag =
+    first capture group when present, else the whole match), normal
+    otherwise. Under any other label source each line keeps its own label.
+    """
     root = Path(root)
     if report is None:
         report = IngestReport()
+    by_dir = profile.label_source == "file-dir"
+    pattern = _compile_profile_regex(profile, "anomaly_dir_pattern") if by_dir else None
     for path in iter_dataset_files(root):
-        sid = _file_seq_id(path, root)
+        sid = path.relative_to(root).as_posix()
+        label = None
+        if by_dir:
+            m = pattern.search(sid) if pattern is not None else None
+            label = NORMAL if m is None else Label(True, m.group(1) if m.groups() else m.group(0))
         yield from parse_file(
-            path, catalog, profile, report=report, seq_id=sid, unmatched_sink=unmatched_sink
+            path, catalog, profile, report=report, seq_id=sid, label=label, unmatched_sink=unmatched_sink
         )

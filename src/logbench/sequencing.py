@@ -13,7 +13,8 @@ are equal, and both write out the same bytes.
 
 A grouped sequence's label is a running value over its events: normal,
 then the first anomalous event's label, and None for good once an event
-has none. No sequence keeps its events' labels.
+has none. No sequence keeps its events' labels; grouping by identifier
+tallies the anomalous ones on its report.
 """
 
 from __future__ import annotations
@@ -79,14 +80,19 @@ class Sequence:
 
 
 class GroupingReport:
-    """Accounting for one grouping pass over an event stream."""
+    """Accounting for one grouping pass over an event stream.
 
-    __slots__ = ("events_total", "grouped_events", "discarded_no_id")
+    `anomalous_events` counts, per event type, the anomalous events of the
+    sequences whose label is not None, once per sequence an event joined.
+    """
+
+    __slots__ = ("events_total", "grouped_events", "discarded_no_id", "anomalous_events")
 
     def __init__(self):
         self.events_total = 0
         self.grouped_events = 0
         self.discarded_no_id = 0
+        self.anomalous_events: Counter = Counter()
 
 
 def _finalize(seq: Sequence) -> Sequence:
@@ -103,11 +109,13 @@ def group_by_identifier(
 
     Events without identifiers are counted as discarded, never silently
     dropped. Sequences come out in order of first identifier appearance. A
-    sequence whose events all carry a label gets the lifted label.
+    sequence whose events all carry a label gets the lifted label, and its
+    anomalous events are added to `report.anomalous_events`.
     """
     if report is None:
         report = GroupingReport()
     sequences: dict[str, Sequence] = {}
+    flagged: dict[str, list[int]] = {}  # each sequence's anomalous event types, in order
     for ev in events:
         report.events_total += 1
         if not ev.seq_ids:
@@ -121,9 +129,16 @@ def group_by_identifier(
                 sequences[sid] = seq
             seq.events.append(ev.event_id)
             seq.timestamps.append(ev.timestamp)  # type: ignore[union-attr]
-            if label is None or (label.anomalous and seq.label is NORMAL):
-                seq.label = label
+            if label is None:
+                seq.label = None
+            elif label.anomalous:
+                if seq.label is NORMAL:
+                    seq.label = label
+                flagged.setdefault(sid, []).append(ev.event_id)
             report.grouped_events += 1
+    for sid, types in flagged.items():
+        if sequences[sid].label is not None:
+            report.anomalous_events.update(types)
     return [_finalize(seq) for seq in sequences.values()]
 
 
@@ -181,21 +196,6 @@ def group_by_window(
                 seq.label = ev.label
         out.append(_finalize(seq))
     return out
-
-
-def tally_anomalous_events(events: Iterable[ParsedEvent], seqs: Iterable[Sequence]) -> Counter:
-    """Per event type, the anomalous events of the labeled ones of `seqs`, grouped by id from `events`.
-
-    An event counts once per labeled sequence it joined, so not at all without an identifier.
-    """
-    labeled = {seq.seq_id for seq in seqs if seq.label is not None}
-    tally: Counter = Counter()
-    for ev in events:
-        if ev.label is not None and ev.label.anomalous:
-            for sid in ev.seq_ids:
-                if sid in labeled:
-                    tally[ev.event_id] += 1
-    return tally
 
 
 def attach_sequence_labels(

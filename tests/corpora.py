@@ -7,7 +7,7 @@ from collections import Counter
 
 from logbench.events import Label, NORMAL, ParsedEvent
 from logbench.fixtures import NORMAL_LONG, NORMAL_SHORT
-from logbench.sequencing import Sequence, group_by_identifier, tally_anomalous_events
+from logbench.sequencing import GroupingReport, Sequence, group_by_identifier
 
 #: An anomalous sequence's events; the occurrences of type 99 are its anomalous events.
 FAULT_EVENTS = (1, 2, 3, 4, 99, 3, 4, 5, 6)
@@ -42,5 +42,6 @@ def event_labeled_corpus(n_normal: int = 60, n_anomalous: int = 15, seed: int = 
 
 def event_study(events: list[ParsedEvent]) -> tuple[list[Sequence], Counter]:
     """The labeled sequences grouped from `events`, and their anomalous events per type."""
-    seqs = [seq for seq in group_by_identifier(events) if seq.label is not None]
-    return seqs, tally_anomalous_events(events, seqs)
+    report = GroupingReport()
+    seqs = [seq for seq in group_by_identifier(events, report=report) if seq.label is not None]
+    return seqs, report.anomalous_events

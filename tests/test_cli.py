@@ -182,7 +182,7 @@ class TestGroupCommand:
         assert manifest["realized"]["labels_lifted_from_events"] == len(rows) > 0
         assert all(row.split("\t")[1] for row in rows)
 
-    def test_file_mode_with_the_parse_label_side_file(self, tmp_path):
+    def test_file_mode_lifts_the_directory_labels(self, tmp_path):
         tree = tmp_path / "adfa"
         files = {
             "Training_Data_Master/UTD-1.txt": "1 2 3\n",
@@ -194,23 +194,38 @@ class TestGroupCommand:
             (tree / rel).write_text(text)
         events = tmp_path / "events.tsv"
         assert run("parse", "--profile", "adfa", "--input", tree, "--out", events) == 0
-        side = tmp_path / "events.tsv.labels.csv"
-        assert side.read_text() == (
-            "seq_id,label\n"
-            "Attack_Data_Master/Hydra_FTP_1/UAD-1.txt,Hydra_FTP\n"
-            "Training_Data_Master/UTD-1.txt,normal\n"
-            '"normal/a,b.txt",normal\n'
-        )
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["adfa", "events.tsv", "events.tsv.manifest.json"]
         out = tmp_path / "seqs.tsv"
-        assert run("group", "--input", events, "--mode", "file", "--labels", side, "--out", out) == 0
+        assert run("group", "--input", events, "--mode", "file", "--out", out) == 0
         manifest = json.loads((tmp_path / "seqs.tsv.manifest.json").read_text())
-        assert manifest["realized"]["unlabeled_excluded"] == 0
+        assert manifest["realized"]["labels_lifted_from_events"] == 3
         rows = [row.split("\t")[:3] for row in out.read_text().splitlines()[1:]]
-        assert sorted(rows) == [
+        assert rows == [
             ["Attack_Data_Master/Hydra_FTP_1/UAD-1.txt", "anomalous:Hydra_FTP", "6"],
             ["Training_Data_Master/UTD-1.txt", "normal", "1 2 3"],
             ["normal/a,b.txt", "normal", "4 5"],
         ]
+        # a label file still replaces the lifted labels (Hadoop's runs are labeled by a listing)
+        labels = tmp_path / "labels.csv"
+        labels.write_text('seq_id,label\nTraining_Data_Master/UTD-1.txt,Failed\n"normal/a,b.txt",normal\n')
+        assert run("group", "--input", events, "--mode", "file", "--labels", labels, "--out", out) == 0
+        manifest = json.loads((tmp_path / "seqs.tsv.manifest.json").read_text())
+        assert manifest["realized"]["unlabeled_excluded"] == 1
+        rows = [row.split("\t")[:2] for row in out.read_text().splitlines()[1:]]
+        assert rows == [["Training_Data_Master/UTD-1.txt", "anomalous:Failed"], ["normal/a,b.txt", "normal"]]
+
+    def test_a_digit_directory_tag_survives_parse_and_group(self, tmp_path):
+        # `0` and `1` are label words in a label file, but here they are the tags
+        for rel in ("attack/0/a.txt", "attack/1/b.txt", "clean/c.txt"):
+            (tmp_path / "tree" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "tree" / rel).write_text("1 2\n")
+        profile = tmp_path / "digits.profile"
+        profile.write_text("name = digits\nlabel_source = file-dir\ntokenized = true\nanomaly_dir_pattern = attack/(\\d+)\n")
+        events, out = tmp_path / "events.tsv", tmp_path / "seqs.tsv"
+        assert run("parse", "--profile", profile, "--input", tmp_path / "tree", "--out", events) == 0
+        assert run("group", "--input", events, "--mode", "file", "--out", out) == 0
+        rows = [row.split("\t")[:2] for row in out.read_text().splitlines()[1:]]
+        assert rows == [["attack/0/a.txt", "anomalous:0"], ["attack/1/b.txt", "anomalous:1"], ["clean/c.txt", "normal"]]
 
     def test_window_mode_requires_window(self, tmp_path, parsed_events):
         code = run("group", "--input", parsed_events, "--mode", "window", "--out", tmp_path / "w.tsv")
@@ -434,6 +449,21 @@ class TestEvalCommand:
         assert code == 0
         assert "event" in (out_dir / "summary.csv").read_text()
 
+
+    def test_event_granularity_reads_the_store_once(self, tmp_path, event_store, monkeypatch):
+        import logbench.events
+
+        opened = []
+        open_utf8 = logbench.events.open_utf8
+
+        def counting(path, *args, **kwargs):
+            opened.append(Path(path))
+            return open_utf8(path, *args, **kwargs)
+
+        monkeypatch.setattr(logbench.events, "open_utf8", counting)
+        argv = ("--granularity", "event", "--train-frac", "0.2", "--runs", "2", "--jobs", "1")
+        assert run("eval", "--input", event_store, *argv, "--out-dir", tmp_path / "ev") == 0
+        assert opened == [event_store]
 
     def test_event_granularity_counts_events_without_id(self, tmp_path, event_store):
         events = list(read_events(event_store))

@@ -20,7 +20,6 @@ from logbench.ingest import (
     NORMAL,
     ParsedEvent,
     compile_template,
-    dir_label_map,
     load_profile,
     load_template_catalog,
     parse_file,
@@ -480,9 +479,9 @@ class TestLineParserChecksProfile:
     def test_bad_timezone_and_anomaly_dir_pattern(self, tmp_path):
         with pytest.raises(ProfileError, match="timezone"):
             DatasetProfile(name="bad", label_source="sequence-file", timezone="CET")
-        profile = DatasetProfile(name="bad", label_source="file-dir", anomaly_dir_pattern="Attack_(")
+        profile = DatasetProfile(name="bad", label_source="file-dir", tokenized=True, anomaly_dir_pattern="Attack_(")
         with pytest.raises(ProfileError, match="anomaly_dir_pattern"):
-            dir_label_map(tmp_path, profile)
+            list(parse_tree(tmp_path, None, profile))
 
     @pytest.mark.parametrize(
         "change, message",
@@ -610,9 +609,58 @@ class TestParseFile:
         report = IngestReport()
         events = list(parse_tree(tmp_path, None, profile, report=report))
         assert report.parsed_events == 5
-        labels = dir_label_map(tmp_path, profile)
-        assert labels["Training_Data_Master/UTD-0001.txt"] == NORMAL
-        assert labels["Attack_Data_Master/Hydra_FTP_1/UAD-1.txt"] == Label(True, "Hydra_FTP")
+        assert [(e.seq_ids, e.event_id, e.label) for e in events] == [
+            (("Attack_Data_Master/Hydra_FTP_1/UAD-1.txt",), 4, Label(True, "Hydra_FTP")),
+            (("Attack_Data_Master/Hydra_FTP_1/UAD-1.txt",), 5, Label(True, "Hydra_FTP")),
+            (("Training_Data_Master/UTD-0001.txt",), 1, NORMAL),
+            (("Training_Data_Master/UTD-0001.txt",), 2, NORMAL),
+            (("Training_Data_Master/UTD-0001.txt",), 3, NORMAL),
+        ]
+
+    def test_dir_label_tag_kept_as_matched(self, tmp_path):
+        # a tag that reads like a normal alias or an anomaly word stays the tag
+        profile = DatasetProfile(name="tk", label_source="file-dir", tokenized=True, anomaly_dir_pattern=r"attack/(\d+)")
+        for rel in ("attack/0/a.txt", "attack/1/b.txt", "attack/x/c.txt", "clean/d.txt"):
+            (tmp_path / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / rel).write_text("7\n")
+        labels = {e.seq_ids[0]: e.label for e in parse_tree(tmp_path, None, profile)}
+        assert labels == {
+            "attack/0/a.txt": Label(True, "0"),
+            "attack/1/b.txt": Label(True, "1"),
+            "attack/x/c.txt": NORMAL,
+            "clean/d.txt": NORMAL,
+        }
+        assert [format_label(labels[k]) for k in sorted(labels)[:2]] == ["anomalous:0", "anomalous:1"]
+
+    def test_dir_label_without_a_group_is_the_match(self, tmp_path):
+        profile = DatasetProfile(name="tk", label_source="file-dir", tokenized=True, anomaly_dir_pattern="bad")
+        (tmp_path / "bad").mkdir()
+        (tmp_path / "bad" / "t.txt").write_text("1\n")
+        (tmp_path / "ok.txt").write_text("2\n")
+        assert [e.label for e in parse_tree(tmp_path, None, profile)] == [Label(True, "bad"), NORMAL]
+
+    def test_event_marker_directory_keeps_line_labels(self, tmp_path):
+        profile = DatasetProfile(
+            name="em", label_source="event-marker", label_token=0, preamble_tokens=1,
+            anomaly_dir_pattern="attack",
+        )
+        (tmp_path / "attack").mkdir()
+        (tmp_path / "attack" / "n1.log").write_text("- boot ok\nKERN boot failed\n")
+        (tmp_path / "n2.log").write_text("- boot ok\n")
+        events = list(parse_tree(tmp_path, make_catalog((1, "boot <*>")), profile))
+        assert [(e.seq_ids, e.label) for e in events] == [
+            (("attack/n1.log",), NORMAL),
+            (("attack/n1.log",), Label(True, "KERN")),
+            (("n2.log",), NORMAL),
+        ]
+
+    def test_sequence_file_directory_leaves_events_unlabeled(self, tmp_path):
+        # only a file-dir profile compiles its directory pattern
+        profile = DatasetProfile(name="sf", label_source="sequence-file", tokenized=True, anomaly_dir_pattern="(")
+        (tmp_path / "attack").mkdir()
+        (tmp_path / "attack" / "t.txt").write_text("1 2\n")
+        events = list(parse_tree(tmp_path, None, profile))
+        assert [(e.seq_ids, e.label) for e in events] == [(("attack/t.txt",), None)] * 2
 
 
 class TestEventStore:

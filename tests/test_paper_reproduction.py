@@ -25,20 +25,14 @@ import pytest
 
 from logbench.detectors import STUDY_DETECTORS
 from logbench.evaluation import EvalConfig, evaluate_study
-from logbench.ingest import (
-    IngestReport,
-    dir_label_map,
-    load_profile,
-    load_template_catalog,
-    parse_file,
-    parse_tree,
-)
+from logbench.events import read_events, write_events
+from logbench.ingest import IngestReport, load_profile, load_template_catalog, parse_file, parse_tree
 from logbench.sequencing import (
+    GroupingReport,
     attach_sequence_labels,
     group_by_identifier,
     load_label_file,
     read_sequences,
-    tally_anomalous_events,
     write_sequences,
 )
 from logbench.stats import summarize
@@ -79,25 +73,30 @@ def _hdfs_sequences():
     return seqs, report
 
 
-def _bgl_events():
-    """A fresh parse of the BGL log, labeled per line."""
-    (log,) = _need("bgl/BGL.log")
-    templates = _need("bgl/BGL.templates")[0]
-    return parse_file(log, load_template_catalog(templates), load_profile("bgl"), report=IngestReport())
-
-
-def _bgl_sequences():
-    seqs = [s for s in group_by_identifier(_bgl_events()) if s.label is not None]
-    cache = _cache_dir() / "bgl_sequences.tsv"
+def _bgl_events_store() -> Path:
+    """The BGL log, labeled per line, parsed once into a cached events store."""
+    log, templates = _need("bgl/BGL.log", "bgl/BGL.templates")
+    cache = _cache_dir() / "bgl_events.tsv"
     if not cache.exists():
-        with open(cache, "w", newline="") as handle:
-            write_sequences(seqs, handle)
-    return seqs
+        events = parse_file(log, load_template_catalog(templates), load_profile("bgl"))
+        partial = cache.with_name(cache.name + ".partial")
+        with open(partial, "w", newline="") as handle:
+            write_events(events, handle)
+        partial.replace(cache)
+    return cache
+
+
+@pytest.fixture(scope="module")
+def bgl_study():
+    """BGL's labeled node sequences and the report of the one grouping pass that built them."""
+    report = GroupingReport()
+    seqs = group_by_identifier(read_events(_bgl_events_store()), report=report)
+    return [s for s in seqs if s.label is not None], report
 
 
 def test_criterion_6_hdfs_structural_counts():
     seqs, report = _hdfs_sequences()
-    summary = summarize(seqs, report)
+    summary = summarize(seqs)
     checks = {
         "sequences": (summary.sequences.total, 575_061),
         "unique_sequences": (summary.unique_sequences.total, 26_814),
@@ -132,18 +131,19 @@ def test_criterion_7_hdfs_edit_row():
     assert report.summaries[0].avg_f1 == pytest.approx(0.716, abs=0.02)
 
 
-def test_criterion_8_bgl_event_detector():
-    seqs = _bgl_sequences()
+def test_criterion_8_bgl_event_detector(bgl_study):
+    seqs, _ = bgl_study
     config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1)
     report = evaluate_study(seqs, config, ["event"], jobs=os.cpu_count() or 1)
     assert report.summaries[0].avg_f1 == pytest.approx(0.988, abs=0.005)
 
 
-def test_criterion_8_bgl_event_granularity_tnr():
-    seqs = _bgl_sequences()
-    tally = tally_anomalous_events(_bgl_events(), seqs)  # parses the log a second time
+def test_criterion_8_bgl_event_granularity_tnr(bgl_study):
+    seqs, grouping = bgl_study
     config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1)
-    report = evaluate_study(seqs, config, ["event"], jobs=os.cpu_count() or 1, anomalous_events=tally)
+    report = evaluate_study(
+        seqs, config, ["event"], jobs=os.cpu_count() or 1, anomalous_events=grouping.anomalous_events
+    )
     tnrs = [best.metrics.tnr for best in (o.best() for o in report.outcomes) if best is not None]
     assert sum(tnrs) / len(tnrs) >= 0.998
 
@@ -164,10 +164,8 @@ def test_criterion_9_hadoop_degenerate_detection():
 
 def test_criterion_10_adfa_resists_simple_baselines():
     (root,) = _need("adfa/ADFA-LD")
-    profile = load_profile("adfa")
-    seqs = group_by_identifier(parse_tree(root, None, profile))
-    labels = dir_label_map(root, profile)
-    seqs, _ = attach_sequence_labels(seqs, labels)
+    # every trace file's events carry the label of its directory
+    seqs = group_by_identifier(parse_tree(root, None, load_profile("adfa")))
     config = EvalConfig(train_fraction=0.01, repetitions=25, rng_seed=1)
     detectors = [d for d in STUDY_DETECTORS if d != "timing"]  # no timestamps
     report = evaluate_study(seqs, config, detectors, jobs=os.cpu_count() or 1)

@@ -20,7 +20,6 @@ from logbench.sequencing import (
     group_by_window,
     load_label_file,
     read_sequences,
-    tally_anomalous_events,
     to_count_vector,
     write_sequences,
 )
@@ -188,12 +187,11 @@ class TestTallyAnomalousEvents:
             ev(6, 8, ["u"]),
             ev(7, 9, [], label=bad),
         ]
-        seqs = group_by_identifier(events)
+        report = GroupingReport()
+        seqs = group_by_identifier(events, report=report)
         assert [s.label for s in seqs] == [bad, worse, None]
         # the shared row counts once per sequence; `u` is unlabeled and the id-less row joins none
-        assert tally_anomalous_events(events, seqs) == {7: 4}
-        assert tally_anomalous_events(events, seqs[:1]) == {7: 2}
-        assert tally_anomalous_events(events, []) == {}
+        assert report.anomalous_events == {7: 4}
 
 
 class TestAttachLabels:
