@@ -162,7 +162,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
 
     source = resolve_input(args.input)
     templates = resolve_input(args.templates) if args.templates else None
-    manifest = Manifest(args, [source] + ([templates] if templates else []))
+    manifest = Manifest(args, [source] + [p for p in (templates, Path(args.profile)) if p and p.is_file()])
     profile = ingest.load_profile(args.profile)
     catalog = None
     if not profile.tokenized:
@@ -213,7 +213,8 @@ def cmd_group(args: argparse.Namespace) -> int:
     from .events import read_events
 
     source = resolve_input(args.input)
-    manifest = Manifest(args, [source])
+    labels_file = resolve_input(args.labels) if args.labels else None
+    manifest = Manifest(args, [p for p in (source, labels_file) if p])
     events = read_events(source)
     if args.mode in ("id", "file"):
         greport = sequencing.GroupingReport()
@@ -225,8 +226,8 @@ def cmd_group(args: argparse.Namespace) -> int:
             raise ValidationError("--window is required for window mode")
         seqs = sequencing.group_by_window(sequencing.dedupe_replicated(events), args.window, args.step)
 
-    if args.labels:
-        labels = sequencing.load_label_file(resolve_input(args.labels))
+    if labels_file:
+        labels = sequencing.load_label_file(labels_file)
         seqs, unlabeled = sequencing.attach_sequence_labels(seqs, labels)
         manifest.record("unlabeled_excluded", len(unlabeled))
     else:

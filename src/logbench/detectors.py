@@ -9,7 +9,9 @@ n-grams. The study loop scores each distinct event tuple once per run. A
 detector whose score depends on less than the tuple merges the repeats
 left within one `score_batch` call and keeps nothing across calls: `ecvc`
 searches once per distinct count vector, so reorderings of one multiset
-share a search.
+share a search. `edit` scans each target once per packed block of its
+bank, so one pass gives the exact distance to every sequence of the block;
+`levenshtein` is the same kernel for one pair.
 
 Study rows such as `event+length+ecvc` are OR-combinations of these base
 detectors. They are not detectors of their own: the evaluation fits and
@@ -20,11 +22,10 @@ is exactly the OR of the member flags.
 
 from __future__ import annotations
 
-import bisect
 import math
 import re
 from collections import Counter
-from typing import Iterable, Sequence as PySequence
+from typing import Sequence as PySequence
 
 from .errors import DetectorNotApplicable, ValidationError
 from .sequencing import Sequence, count_vector_key, pair_deltas, to_count_vector
@@ -38,6 +39,11 @@ TIMING_EPSILON = 1e-6
 
 #: How far above the approximate minimum an ecvc-idf candidate is re-scored.
 ECVC_RESCORE_TOLERANCE = 1e-9
+
+#: Bits per packed `edit` bank block. Python's big-integer operations cost
+#: little more per column at this width than at one word, while one vector
+#: over a whole bank of hundreds makes every column step slow.
+EDIT_BLOCK_BITS = 1024
 
 #: Detector rows evaluated in the study, in reporting order.
 STUDY_DETECTORS = (
@@ -410,75 +416,108 @@ class NGramDetector(Detector):
 class EditDistanceDetector(Detector):
     """Minimum normalized edit distance to any training sequence.
 
-    The bank is deduplicated and candidates are visited in order of the
-    length-difference lower bound |len(a) - len(b)| / max(len(a), len(b)),
-    pruning everything that cannot beat the current best; results are
-    exact. Normalization is per sequence: distance / max length of the pair.
-    Each pair goes through the bit-parallel `levenshtein` with the cutoff
-    int(best * max length): a candidate whose distance exceeds it cannot
-    lower the score, so the kernel may stop early and return cutoff + 1.
+    Normalization is per pair: distance / max length of the pair, so a
+    score is the exact minimum of d / max(m, n) over the bank, clamped to
+    1.0. A target in the bank scores 0.0.
+
+    `fit` sorts the deduplicated non-empty bank by (length, tuple) and
+    packs it into blocks of up to `EDIT_BLOCK_BITS` bits, the
+    multiple-pattern form of Myers's kernel (Hyyrö, Fredriksson & Navarro,
+    JEA 2005): each bank sequence of length m is one lane of m bits,
+    followed by one zero bit that stops the carry of (x & vp) + vp at the
+    lane's top. A sequence longer than a block is a block of its own. Each
+    block keeps one match table (event -> lane bits), the lane bits `full`,
+    the lanes' bottom bits `lows` (the top DP row grows by one per column
+    in every lane) and (offset, mask, m) per lane.
+
+    `score` runs the column step of `levenshtein` once per block over the
+    target; a lane's exact distance is then n + popcount(vp) -
+    popcount(vn) over its bits, as the last column's vertical deltas sum
+    from the top row's value n. Blocks are visited in ascending order of
+    their smallest length bound |m - n| / max(m, n), a lower bound on every
+    lane's score, and the scan stops once that bound reaches the best score.
+    The empty sequence is never packed: against a non-empty target it
+    scores 1.0, which is the clamp.
     """
 
     name = "edit"
 
     def __init__(self):
         self.bank_set: frozenset[tuple[int, ...]] = frozenset()
-        self.by_length: dict[int, list[tuple[int, ...]]] = {}
-        self.lengths: list[int] = []
+        # (shortest, longest, match table, full, lows, lanes) per block
+        self.blocks: list[tuple[int, int, dict[int, int], int, int, list[tuple[int, int, int]]]] = []
 
     def fit(self, train):
         _require_training(train)
-        bank = {tuple(seq.events) for seq in train}
-        self.bank_set = frozenset(bank)
-        self.by_length = {}
-        for item in sorted(bank):
-            self.by_length.setdefault(len(item), []).append(item)
-        self.lengths = sorted(self.by_length)
+        self.bank_set = frozenset(tuple(seq.events) for seq in train)
+        self.blocks = []
+        block: list[tuple[int, ...]] = []
+        width = 0
+        for item in sorted(self.bank_set, key=lambda item: (len(item), item)):
+            if not item:
+                continue
+            if block and width + len(item) + 1 > EDIT_BLOCK_BITS:
+                self.blocks.append(_pack_block(block))
+                block, width = [], 0
+            block.append(item)
+            width += len(item) + 1
+        if block:
+            self.blocks.append(_pack_block(block))
         return self
-
-    @staticmethod
-    def _length_bound(m: int, length: int) -> float:
-        top = max(m, length)
-        return abs(m - length) / top if top else 0.0
-
-    def _candidate_lengths(self, m: int) -> Iterable[int]:
-        """Bank lengths ordered by ascending length-difference lower bound."""
-        lengths = self.lengths
-        right = bisect.bisect_left(lengths, m)
-        left = right - 1
-        while left >= 0 or right < len(lengths):
-            if left < 0:
-                yield lengths[right]
-                right += 1
-            elif right >= len(lengths):
-                yield lengths[left]
-                left -= 1
-            elif self._length_bound(m, lengths[left]) <= self._length_bound(m, lengths[right]):
-                yield lengths[left]
-                left -= 1
-            else:
-                yield lengths[right]
-                right += 1
 
     def score(self, seq):
         target = tuple(seq.events)
         if target in self.bank_set:
             return 0.0
-        m = len(target)
+        n = len(target)
+
+        def length_bound(block):
+            shortest, longest = block[0], block[1]
+            if n < shortest:
+                return (shortest - n) / shortest
+            return (n - longest) / n if n > longest else 0.0
+
         best = 1.0
-        for length in self._candidate_lengths(m):
-            if self._length_bound(m, length) >= best:
+        for block in sorted(self.blocks, key=length_bound):
+            if length_bound(block) >= best:
                 break
-            top = max(m, length)
-            for cand in self.by_length[length]:
-                cutoff = int(best * top)
-                d = levenshtein(target, cand, cutoff=cutoff)
-                nd = d / top if top else 0.0
+            _, _, peq, full, lows, lanes = block
+            get = peq.get
+            vp, vn = full, 0
+            for event in target:
+                x = get(event, 0) | vn
+                d0 = ((((x & vp) + vp) ^ vp) | x) & full
+                hp = vn | (full ^ (d0 | vp))
+                hn = d0 & vp
+                hp = (hp << 1) | lows
+                vp = ((hn << 1) | (full ^ (d0 | hp))) & full
+                vn = hp & d0
+            for offset, mask, m in lanes:
+                d = n + ((vp >> offset) & mask).bit_count() - ((vn >> offset) & mask).bit_count()
+                nd = d / (m if m > n else n)
                 if nd < best:
                     best = nd
-            if best == 0.0:
-                break
         return best
+
+
+def _pack_block(items: list[tuple[int, ...]]):
+    """One `EditDistanceDetector` block: each item a lane of len(item) bits and a zero bit."""
+    peq: dict[int, int] = {}
+    full = lows = 0
+    lanes = []
+    offset = 0
+    for item in items:
+        m = len(item)
+        bit = 1 << offset
+        for event in item:
+            peq[event] = peq.get(event, 0) | bit
+            bit <<= 1
+        mask = (1 << m) - 1
+        full |= mask << offset
+        lows |= 1 << offset
+        lanes.append((offset, mask, m))
+        offset += m + 1
+    return len(items[0]), len(items[-1]), peq, full, lows, lanes
 
 
 class EventTimingDetector(Detector):

@@ -660,10 +660,12 @@ def parse_tree(
     """Stream events from every file under a directory, one sequence per file.
 
     A file's sequence id is its path relative to `root`. Under
-    `label_source = file-dir` every event of a file gets the file's label:
-    anomalous when the relative path matches `anomaly_dir_pattern` (tag =
-    first capture group when present, else the whole match), normal
-    otherwise. Under any other label source each line keeps its own label.
+    `label_source = file-dir` with an `anomaly_dir_pattern`, every event of
+    a file gets the file's label: anomalous when the relative path matches
+    the pattern (tag = first capture group when present, else the whole
+    match), normal otherwise. A file-dir profile without a pattern (Hadoop's
+    runs are labeled by a listing) and any other label source leave each
+    line its own label, so a tokenized or unmarked line stays unlabeled.
     """
     root = Path(root)
     if report is None:
@@ -673,8 +675,8 @@ def parse_tree(
     for path in iter_dataset_files(root):
         sid = path.relative_to(root).as_posix()
         label = None
-        if by_dir:
-            m = pattern.search(sid) if pattern is not None else None
+        if pattern is not None:
+            m = pattern.search(sid)
             label = NORMAL if m is None else Label(True, m.group(1) if m.groups() else m.group(0))
         yield from parse_file(
             path, catalog, profile, report=report, seq_id=sid, label=label, unmatched_sink=unmatched_sink

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from logbench.cli import build_parser, main
+from logbench.cli import build_parser, main, sha256_file
 from logbench.detectors import STUDY_DETECTORS
 from logbench.events import ParsedEvent, read_events, write_events
 from logbench.ingest import bundled_profile_names, load_profile, load_profile_file
@@ -56,6 +56,27 @@ class TestParseCommand:
         assert list(manifest["timings_sec"]) == ["digest", "load", "parse"]
         assert all(seconds >= 0 for seconds in manifest["timings_sec"].values())
         assert list(manifest["inputs"]) == [str(synthetic_log_path), str(DATA / "synthetic.templates")]
+
+    def test_manifests_digest_profile_and_label_files(self, tmp_path, synthetic_log_path, synthetic_labels_path):
+        profile = tmp_path / "mine.profile"
+        profile.write_text((DATA.parent / "profiles" / "synthetic.profile").read_text())
+        events = tmp_path / "events.tsv"
+        args = ("--templates", DATA / "synthetic.templates", "--input", synthetic_log_path, "--out", events)
+        assert run("parse", "--profile", profile, *args) == 0
+        inputs = json.loads((tmp_path / "events.tsv.manifest.json").read_text())["inputs"]
+        assert list(inputs) == [str(synthetic_log_path), str(DATA / "synthetic.templates"), str(profile)]
+        assert inputs[str(profile)] == sha256_file(profile)
+        digests = []
+        for name, text in (("a.csv", synthetic_labels_path.read_text()), ("b.csv", "seq_id,label\n")):
+            labels = tmp_path / name
+            labels.write_text(text)
+            out = tmp_path / f"{name}.tsv"
+            assert run("group", "--input", events, "--labels", labels, "--out", out) == 0
+            inputs = json.loads((tmp_path / f"{name}.tsv.manifest.json").read_text())["inputs"]
+            assert list(inputs) == [str(events), str(labels)]
+            digests.append(inputs[str(labels)])
+        assert digests == [sha256_file(tmp_path / "a.csv"), sha256_file(tmp_path / "b.csv")]
+        assert digests[0] != digests[1]
 
     def test_manifest_samples_timestamp_errors(self, tmp_path, parsed_events, synthetic_log_path):
         clean = json.loads((tmp_path / "events.tsv.manifest.json").read_text())
@@ -226,6 +247,18 @@ class TestGroupCommand:
         assert run("group", "--input", events, "--mode", "file", "--out", out) == 0
         rows = [row.split("\t")[:2] for row in out.read_text().splitlines()[1:]]
         assert rows == [["attack/0/a.txt", "anomalous:0"], ["attack/1/b.txt", "anomalous:1"], ["clean/c.txt", "normal"]]
+
+    def test_dir_profile_without_a_pattern_groups_unlabeled(self, tmp_path):
+        for rel in ("attack/a.txt", "clean/b.txt"):
+            (tmp_path / "tree" / rel).parent.mkdir(parents=True, exist_ok=True)
+            (tmp_path / "tree" / rel).write_text("1 2\n")
+        profile = tmp_path / "plain.profile"
+        profile.write_text("name = plain\nlabel_source = file-dir\ntokenized = true\n")
+        events, out = tmp_path / "events.tsv", tmp_path / "seqs.tsv"
+        assert run("parse", "--profile", profile, "--input", tmp_path / "tree", "--out", events) == 0
+        assert run("group", "--input", events, "--mode", "file", "--out", out) == 0
+        rows = [row.split("\t")[:2] for row in out.read_text().splitlines()[1:]]
+        assert rows == [["attack/a.txt", ""], ["clean/b.txt", ""]]
 
     def test_window_mode_requires_window(self, tmp_path, parsed_events):
         code = run("group", "--input", parsed_events, "--mode", "window", "--out", tmp_path / "w.tsv")

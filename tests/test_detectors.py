@@ -491,20 +491,91 @@ class TestEditKernelCalls:
             )
             assert det.score(seq(probe)) == pytest.approx(min(brute, 1.0), abs=1e-12)
 
-    def test_score_calls_the_module_kernel(self, monkeypatch):
-        calls = []
-        kernel = detectors.levenshtein
-
-        def counted(a, b, *, cutoff=None):
-            calls.append(cutoff)
-            return kernel(a, b, cutoff=cutoff)
-
-        monkeypatch.setattr(detectors, "levenshtein", counted)
+    def test_length_bound_skips_far_blocks(self, monkeypatch):
+        monkeypatch.setattr(detectors, "EDIT_BLOCK_BITS", 10)
         det = EditDistanceDetector().fit([seq([1, 2, 3, 4]), seq([1, 2, 5, 4]), seq([7] * 9)])
-        assert det.score(seq([1, 2, 6, 4])) == pytest.approx(0.25)
-        # both length-4 candidates, the first with the no-op cutoff int(1.0 * 4);
-        # the length-9 one is pruned by its length bound 5/9 >= 0.25
-        assert calls == [4, 1]
+        # two 4-event lanes and their zero bits fill a 10-bit block
+        assert [[m for _, _, m in block[5]] for block in det.blocks] == [[4, 4], [9]]
+        reads = []
+
+        def watched(index, table):
+            class Watched(dict):
+                def get(self, event, default=None):
+                    reads.append(index)
+                    return dict.get(self, event, default)
+
+            return Watched(table)
+
+        det.blocks = [
+            block[:2] + (watched(i, block[2]),) + block[3:] for i, block in enumerate(det.blocks)
+        ]
+        assert det.score(seq([1, 2, 6, 4])) == 0.25
+        # the 9-event block's length bound 5/9 is not below 1/4: never scanned
+        assert reads == [0] * 4
+        reads.clear()
+        assert det.score(seq([7] * 8)) == 1 / 9
+        # the nearer 9-event block goes first; then the 4-event block's bound 4/8 >= 1/9
+        assert reads == [1] * 8
+
+
+@st.composite
+def _edit_bank_case(draw):
+    """A bank of 1-12 sequences of long-tailed lengths up to 400 over 1-8 event ids,
+    probes (the empty one, bank members, mutants, random ones with an unseen id)
+    and a block width narrow enough for lanes longer than a block."""
+    alphabet = draw(st.integers(min_value=1, max_value=8))
+    length = st.one_of(
+        st.integers(min_value=0, max_value=4),
+        st.integers(min_value=0, max_value=40),
+        st.integers(min_value=0, max_value=400),
+    )
+
+    def events(top):
+        size = draw(length)
+        return draw(st.lists(st.integers(min_value=1, max_value=top), min_size=size, max_size=size))
+
+    bank = [events(alphabet) for _ in range(draw(st.integers(min_value=1, max_value=12)))]
+    rng = draw(st.randoms(use_true_random=False))
+    probes = [[]]
+    for kind in draw(st.lists(st.sampled_from(("member", "mutant", "random")), min_size=1, max_size=4)):
+        if kind == "member":
+            probes.append(rng.choice(bank))
+        elif kind == "mutant":
+            probes.append(_mutated(rng, rng.choice(bank), alphabet + 1, rng.randint(1, 6)))
+        else:
+            probes.append(events(alphabet + 1))
+    return bank, probes, draw(st.sampled_from((8, 64, detectors.EDIT_BLOCK_BITS)))
+
+
+def _nearest_normalized(probe, bank):
+    return min(1.0, min(levenshtein_dp(probe, events) / max(len(probe), len(events), 1) for events in bank))
+
+
+class TestEditPackedKernel:
+    """The packed bank blocks against the O(mn) DP, with exact float equality."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(_edit_bank_case())
+    def test_matches_dp_oracle(self, case):
+        bank, probes, block_bits = case
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(detectors, "EDIT_BLOCK_BITS", block_bits)
+            det = EditDistanceDetector().fit([seq(events) for events in bank])
+        for block in det.blocks:
+            lanes = block[5]
+            assert len(lanes) == 1 or sum(m + 1 for _, _, m in lanes) <= block_bits
+        for probe in probes:
+            assert det.score(seq(probe)) == _nearest_normalized(probe, bank)
+
+    def test_lane_longer_than_a_block(self):
+        rng = random.Random(1024)
+        long = [rng.randint(1, 3) for _ in range(detectors.EDIT_BLOCK_BITS + 6)]
+        bank = [long, [1, 2, 3], [2] * 30, []]
+        det = EditDistanceDetector().fit([seq(events) for events in bank])
+        assert [[m for _, _, m in block[5]] for block in det.blocks] == [[3, 30], [len(long)]]
+        probes = [_mutated(rng, long, 4, 20), long[:900], [1, 2, 4], [2] * 31, []]
+        for probe in probes:
+            assert det.score(seq(probe)) == _nearest_normalized(probe, bank)
 
 
 class TestTiming:

@@ -639,6 +639,14 @@ class TestParseFile:
         (tmp_path / "ok.txt").write_text("2\n")
         assert [e.label for e in parse_tree(tmp_path, None, profile)] == [Label(True, "bad"), NORMAL]
 
+    def test_dir_profile_without_a_pattern_leaves_events_unlabeled(self, tmp_path):
+        profile = DatasetProfile(name="tk", label_source="file-dir", tokenized=True)
+        (tmp_path / "attack").mkdir()
+        (tmp_path / "attack" / "t.txt").write_text("1\n")
+        (tmp_path / "ok.txt").write_text("2\n")
+        events = list(parse_tree(tmp_path, None, profile))
+        assert [(e.seq_ids, e.label) for e in events] == [(("attack/t.txt",), None), (("ok.txt",), None)]
+
     def test_event_marker_directory_keeps_line_labels(self, tmp_path):
         profile = DatasetProfile(
             name="em", label_source="event-marker", label_token=0, preamble_tokens=1,
