@@ -10,9 +10,8 @@ this module imports before parsing its arguments is paid once per stage:
 on small corpora, importing all modules up front took as long as the work
 itself. Besides `cli` and `errors`, each stage loads:
 
-* `parse`: `ingest` (the parser) and `events`, and `datetime` only when
-  the profile's timestamps need `strptime` (an epoch profile such as `bgl`
-  does not);
+* `parse`: `ingest` (the parser) and `events`, `datetime` for a calendar
+  stamp format, and `_strptime` only for a stamp off its fixed-width layout;
 * `group`: `events` and `sequencing`;
 * `stats`: `sequencing` (with `events`) and `stats`;
 * `complexity`: `sequencing` (with `events`) and `complexity`;

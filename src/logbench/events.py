@@ -176,6 +176,7 @@ def write_events(
     stream will be window-grouped later). Returns the number of rows.
     """
     def rows():
+        stamp, ts = None, ""
         for ev in events:
             ids: Iterable[str] = ev.seq_ids
             if not ev.seq_ids:
@@ -183,8 +184,11 @@ def write_events(
                     continue
                 ids = ("",)
             line_no, event_id = str(ev.line_no), str(ev.event_id)
-            ts = "" if ev.timestamp is None else repr(ev.timestamp)
-            label = format_label(ev.label)
+            # the parser gives consecutive lines with one stamp text one float object
+            if ev.timestamp is not stamp:
+                stamp = ev.timestamp
+                ts = "" if stamp is None else repr(stamp)
+            label = "" if ev.label is None else format_label(ev.label)
             for sid in ids:
                 yield (line_no, event_id, ts, sid, label)
 

@@ -236,7 +236,7 @@ def load_template_catalog(path: str | Path) -> TemplateCatalog:
             if not line.strip() or line.lstrip().startswith("#"):
                 continue
             parts = line.split(maxsplit=1)
-            if len(parts) != 2 or not parts[0].isdigit():
+            if len(parts) != 2 or not (parts[0].isascii() and parts[0].isdigit()):
                 raise CatalogError(
                     f"{path}:{line_no}: expected '<id>\\t<pattern>', got {line!r}"
                 )
@@ -416,11 +416,54 @@ def _epoch(text: str) -> float:
     return value
 
 
+#: The directives of a fixed-width stamp: their `datetime` argument and digit count.
+_STAMP_FIELDS = {"Y": (0, 4), "y": (0, 2), "m": (1, 2), "d": (2, 2), "H": (3, 2), "M": (4, 2), "S": (5, 2)}
+
+#: Turns every ASCII digit into "0", so a stamp on its layout reads as the layout's shape.
+_ZEROED = str.maketrans("123456789", "000000000")
+
+
+def _stamp_layout(fmt: str) -> tuple | None:
+    """A `strptime` format as fixed-width fields `(shapes, fields, width, short_year)`, or None.
+
+    The format must be built from `%Y %y %m %d %H %M %S`, each at most once
+    and one a year, may end with `%f`, and its literals hold no digit and
+    no whitespace but single spaces. `fields` holds `(argument, start,
+    end)` per directive, the `%f` digits start at `width`, and `shapes`
+    maps each valid length to what an on-layout stamp reads after `_ZEROED`.
+    """
+    head, *pieces = fmt.split("%")
+    fraction = pieces[-1:] == ["f"]
+    if fraction:
+        pieces.pop()
+    shape, literals, fields = head, [head], []
+    for piece in pieces:
+        if piece[:1] not in _STAMP_FIELDS:
+            return None
+        arg, size = _STAMP_FIELDS[piece[:1]]
+        fields.append((arg, len(shape), len(shape) + size))
+        shape += "0" * size + piece[1:]
+        literals.append(piece[1:])
+    args = [arg for arg, _, _ in fields]
+    if 0 not in args or len(set(args)) < len(args):
+        return None
+    for text in literals:
+        if "  " in text or any(c.isdigit() or c.isspace() and c != " " for c in text):
+            return None
+    width = len(shape)
+    shapes = {width + n: shape + "0" * n for n in range(1, 7)} if fraction else {width: shape}
+    return shapes, tuple(fields), width, "%y" in fmt
+
+
 def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
     """The profile's timestamp-text-to-epoch-seconds function; None without a timestamp_format.
 
-    Only a `strptime` format loads `datetime`; an epoch profile never does.
+    Only a calendar format loads `datetime`; an epoch profile never does.
     Epoch text that is nan or infinite is refused like unparseable text.
+    A stamp on its format's fixed-width layout (`_stamp_layout`) is decoded
+    by `int()` and the `datetime` constructor, to the float `strptime`
+    gives. Any other text, or a value the constructor refuses, goes to
+    `strptime` for its value or error text, and only that loads `_strptime`.
     """
     fmt = profile.timestamp_format
     if fmt is None:
@@ -443,7 +486,29 @@ def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
             dt = dt.replace(year=year)
         return dt.replace(tzinfo=tzinfo).timestamp()
 
-    return convert
+    layout = _stamp_layout(fmt)
+    if layout is None:
+        return convert
+    shapes, fields, width, short_year = layout
+
+    def decode(text: str) -> float:
+        if text.translate(_ZEROED) != shapes.get(len(text)):
+            return convert(text)
+        args = [0, 1, 1, 0, 0, 0, 0]
+        for arg, start, end in fields:
+            args[arg] = int(text[start:end])
+        if short_year:
+            # strptime's pivot: 69-99 are 19xx, 00-68 are 20xx
+            args[0] += 2000 if args[0] <= 68 else 1900
+        if len(text) > width:
+            args[6] = int(text[width:]) * 10 ** (width + 6 - len(text))
+        try:
+            stamp = datetime(*args, tzinfo=tzinfo)
+        except ValueError:
+            return convert(text)
+        return stamp.timestamp()
+
+    return decode
 
 
 def parse_timestamp_text(text: str, profile: DatasetProfile) -> float:
@@ -482,7 +547,7 @@ class LineParser:
     the seq-id capture groups up front, so a malformed profile fails before
     the first line. It keeps the last timestamp text and what it parsed to,
     because consecutive lines often carry the same stamp (one-second
-    resolution).
+    resolution); such lines share one float.
     """
 
     def __init__(self, catalog: TemplateCatalog | None, profile: DatasetProfile):
@@ -503,7 +568,7 @@ class LineParser:
         )
         self.marks_labels = profile.label_source == "event-marker" and profile.label_token is not None
         self._stamp_text: str | None = None
-        self._stamp: tuple[float | None, str | None] = (None, None)
+        self._stamp = self._read_stamp(None)
 
     def split(self, line: str) -> tuple[list[str], str]:
         """The line's leading tokens and its message.
@@ -520,20 +585,14 @@ class LineParser:
         parts = tokens if pre == self.max_token else line.split(None, pre)
         return tokens, parts[pre] if len(parts) > pre else ""
 
-    def _timestamp(self, line: str) -> tuple[float | None, str | None]:
-        if self.ts_re is None:
-            return None, None
-        m = self.ts_re.search(line)
-        text = None if m is None else m.group(self.ts_group)
+    def _read_stamp(self, text: str | None) -> tuple[float | None, str | None]:
+        """A line's timestamp text (None when the pattern finds none) as epoch seconds and an error."""
         if text is None:
             return None, "timestamp pattern not found"
-        if text != self._stamp_text:
-            try:
-                self._stamp = self.to_epoch(text), None
-            except (ValueError, OverflowError) as exc:
-                self._stamp = None, f"unparseable timestamp {text!r}: {exc}"
-            self._stamp_text = text
-        return self._stamp
+        try:
+            return self.to_epoch(text), None
+        except (ValueError, OverflowError) as exc:
+            return None, f"unparseable timestamp {text!r}: {exc}"
 
     def parse(
         self, line: str, line_no: int = 1, report: IngestReport | None = None
@@ -554,24 +613,27 @@ class LineParser:
             marker = tokens[profile.label_token]
             label = NORMAL if marker == profile.normal_marker else Label(True, marker)
 
-        timestamp, ts_error = self._timestamp(line)
-        if ts_error and report is not None:
-            report.add_timestamp_error(line_no, ts_error)
+        timestamp = None
+        if self.ts_re is not None:
+            m = self.ts_re.search(line)
+            text = None if m is None else m.group(self.ts_group)
+            if text != self._stamp_text:
+                self._stamp_text, self._stamp = text, self._read_stamp(text)
+            timestamp, ts_error = self._stamp
+            if ts_error and report is not None:
+                report.add_timestamp_error(line_no, ts_error)
 
         seq_ids: tuple[str, ...] = ()
         if profile.seq_id_token is not None:
             if profile.seq_id_token < len(tokens):
                 seq_ids = (tokens[profile.seq_id_token],)
         elif self.seq_id_re is not None:
-            seq_ids = _dedup(self.seq_id_re.findall(line))
+            found = self.seq_id_re.findall(line)
+            if len(found) > 1:
+                seq_ids = _dedup(found)
+            elif found and found[0]:
+                seq_ids = (found[0],)
         return ParsedEvent(line_no, matched.event_id, timestamp, seq_ids, label)
-
-
-def _count_event(report: IngestReport, event: ParsedEvent) -> None:
-    report.matched_lines += 1
-    report.parsed_events += len(event.seq_ids)
-    if not event.seq_ids:
-        report.no_id_lines += 1
 
 
 def parse_file(
@@ -617,7 +679,11 @@ def parse_file(
                 continue
             if forced:
                 event = event._replace(**forced)
-            _count_event(report, event)
+            report.matched_lines += 1
+            if event.seq_ids:
+                report.parsed_events += len(event.seq_ids)
+            else:
+                report.no_id_lines += 1
             yield event
 
 
@@ -635,12 +701,13 @@ def _parse_tokenized(
             for token in raw.split():
                 index += 1
                 report.lines_total += 1
-                if not token.isdigit():
+                # `str.isdigit` alone also takes digits `int` refuses, such as "²"
+                if not (token.isascii() and token.isdigit()):
                     report.invalid_lines += 1
                     continue
-                event = ParsedEvent(index, int(token), None, (sid,), label)
-                _count_event(report, event)
-                yield event
+                report.matched_lines += 1
+                report.parsed_events += 1
+                yield ParsedEvent(index, int(token), None, (sid,), label)
 
 
 def iter_dataset_files(root: str | Path) -> list[Path]:

@@ -153,6 +153,22 @@ class TestParseCommand:
         )
         assert code != 0
 
+    def test_non_ascii_digits_end_in_an_error_or_an_invalid_line(self, tmp_path, synthetic_log_path, capsys):
+        """`str.isdigit` takes "²", which `int` refuses: a catalog id names its line, a trace token is invalid."""
+        catalog = tmp_path / "digits.templates"
+        catalog.write_text("1\tok <*>\n²\tfoo <*>\n")
+        out = tmp_path / "out.tsv"
+        code = run("parse", "--profile", "synthetic", "--templates", catalog, "--input", synthetic_log_path, "--out", out)
+        assert code == 2
+        assert capsys.readouterr().err.startswith(f"error: {catalog}:2: expected")
+        assert not out.exists()
+
+        trace = tmp_path / "trace.txt"
+        trace.write_text("6 ² 7\n")
+        assert run("parse", "--profile", "adfa", "--input", trace, "--out", out) == 0
+        assert out.read_text().splitlines()[1:] == ["1\t6\t\ttrace\t", "3\t7\t\ttrace\t"]
+        assert "3 lines: 2 matched, 0 unmatched, 1 invalid" in capsys.readouterr().out
+
     def test_no_leftover_temp_files(self, tmp_path, parsed_events):
         assert not list(tmp_path.glob("*.tmp"))
 

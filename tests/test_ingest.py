@@ -13,6 +13,8 @@ from logbench.errors import CatalogError, ProfileError, ValidationError
 from logbench.events import format_label, parse_label
 from logbench.ingest import (
     _index_tokens,
+    _stamp_converter,
+    _stamp_layout,
     DatasetProfile,
     IngestReport,
     Label,
@@ -78,6 +80,14 @@ class TestCatalogLoading:
         catalog = make_catalog((1, "<*>"))
         assert catalog.match("anything at all") is catalog.by_id[1]
         assert catalog.match("") is catalog.by_id[1]
+
+    @pytest.mark.parametrize("digit", ["²", "①", "٣"])
+    def test_non_ascii_digit_id_names_the_line(self, tmp_path, digit):
+        """`str.isdigit` takes these, and `int` refuses the first two."""
+        f = tmp_path / "digits.templates"
+        f.write_text(f"1\tok <*>\n{digit}\tfoo <*>\n")
+        with pytest.raises(CatalogError, match=rf"{re.escape(str(f))}:2: expected"):
+            load_template_catalog(f)
 
     def test_comments_and_blanks_skipped(self, tmp_path):
         f = tmp_path / "c.templates"
@@ -432,6 +442,133 @@ class TestTimestampMemo:
             assert event.timestamp == value
 
 
+#: The stamp formats the decoder is checked on; the last has no year, so `strptime` reads it.
+STAMP_FORMATS = ["%y%m%d %H%M%S", "%Y-%m-%d %H:%M:%S,%f", "%Y-%m-%d %H:%M:%S.%f", "%H:%M:%S.%f"]
+STAMP_ZONES = ["UTC", "+05:30", "-11:45"]
+#: Non-ASCII digits: Arabic-Indic and fullwidth ones match `\d`, so `strptime` reads them.
+FOREIGN_DIGITS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹"]
+
+
+def _stamp_profile(fmt, zone):
+    return DatasetProfile(
+        name="s", label_source="sequence-file", timestamp_format=fmt, timezone=zone, base_year=2012
+    )
+
+
+def _strptime_outcome(text, fmt, zone):
+    """The reference: `strptime`'s epoch seconds for `text` in `zone`, or its error text."""
+    from datetime import datetime, timedelta, timezone
+
+    offset = timedelta(0) if zone == "UTC" else timedelta(hours=int(zone[1:3]), minutes=int(zone[4:]))
+    tzinfo = timezone(-offset if zone[0] == "-" else offset)
+    try:
+        dt = datetime.strptime(text, fmt)
+        if "%y" not in fmt and "%Y" not in fmt:
+            dt = dt.replace(year=2012)
+        return dt.replace(tzinfo=tzinfo).timestamp()
+    except ValueError as exc:
+        return str(exc)
+
+
+def _outcome(convert, text):
+    try:
+        return convert(text)
+    except ValueError as exc:
+        return str(exc)
+
+
+def _render(fmt, fields):
+    out = fmt
+    for directive, value in fields.items():
+        out = out.replace(f"%{directive}", value)
+    return out
+
+
+#: An on-layout stamp's fields, and edge cases as changes to them.
+BASE_FIELDS = {"Y": "2008", "y": "08", "m": "11", "d": "09", "H": "20", "M": "35", "S": "18", "f": "123"}
+EDGE_FIELDS = [
+    {},
+    {"m": "00"}, {"m": "13"}, {"d": "00"}, {"d": "31"}, {"d": "32"}, {"m": "04", "d": "31"},
+    {"Y": "1900", "m": "02", "d": "29"}, {"Y": "2000", "y": "00", "m": "02", "d": "29"},
+    {"Y": "2023", "y": "23", "m": "02", "d": "29"}, {"Y": "1996", "y": "96", "m": "02", "d": "29"},
+    {"H": "24"}, {"M": "60"}, {"S": "60"}, {"S": "61"}, {"Y": "0000"}, {"Y": "0001", "m": "01", "d": "01"},
+    {"Y": "9999", "m": "12", "d": "31", "H": "23", "M": "59", "S": "59", "f": "999999"},
+    {"y": "68"}, {"y": "69"}, {"y": "99"}, {"y": "00"},
+    {"f": "1"}, {"f": "12"}, {"f": "1234"}, {"f": "12345"}, {"f": "123456"}, {"f": "1234567"},
+    {"d": " 9"}, {"m": "+1"}, {"M": "1_"}, {"S": "5"},
+]
+
+
+@st.composite
+def stamp_texts(draw, fmt):
+    """Stamps for `fmt`: mostly on its layout, some with foreign digits, other whitespace, or a length off by one."""
+    fields = {
+        "Y": f"{draw(st.integers(0, 9999)):04d}",
+        "y": f"{draw(st.integers(0, 99)):02d}",
+        "m": f"{draw(st.integers(0, 13)):02d}",
+        "d": f"{draw(st.integers(0, 32)):02d}",
+        "H": f"{draw(st.integers(0, 24)):02d}",
+        "M": f"{draw(st.integers(0, 60)):02d}",
+        "S": f"{draw(st.integers(0, 61)):02d}",
+        "f": draw(st.text("0123456789", min_size=1, max_size=7)),
+    }
+    text = _render(fmt, fields)
+    change = draw(st.sampled_from(["none", "none", "digits", "digit", "space", "short", "long"]))
+    if change in ("digits", "digit"):
+        table = draw(st.sampled_from(FOREIGN_DIGITS))
+        positions = [i for i, c in enumerate(text) if c.isdigit()]
+        if change == "digit":
+            positions = [draw(st.sampled_from(positions))]
+        chars = list(text)
+        for i in positions:
+            chars[i] = table[int(chars[i])]
+        text = "".join(chars)
+    elif change == "space" and " " in text:
+        text = text.replace(" ", draw(st.sampled_from(["  ", "\t", "\u00a0"])), 1)
+    elif change == "short":
+        text = text[:-1]
+    elif change == "long":
+        text += draw(st.sampled_from(["0", "7", " ", "x"]))
+    return text
+
+
+class TestStampDecoder:
+    """The fixed-width decoder gives `strptime`'s value or error text on every stamp."""
+
+    def test_layouts(self):
+        assert [_stamp_layout(fmt) is not None for fmt in STAMP_FORMATS] == [True, True, True, False]
+        for fmt in [
+            "%b %d %H:%M:%S", "%Y %y", "%Y%Y", "%Y-%m-%d  %H", "%Y\t%m", "%Y1%m", "%Y%%", "%Y%",
+            "%Y%f%m", "%f%Y", "%m%d", "%Y-%m-%d %H:%M:%S %z", "",
+        ]:
+            assert _stamp_layout(fmt) is None, fmt
+        shapes, fields, width, short_year = _stamp_layout("%Y-%m-%dT%H:%M:%S.%f")
+        assert (width, short_year, sorted(shapes)) == (20, False, [21, 22, 23, 24, 25, 26])
+        assert shapes[23] == "0000-00-00T00:00:00.000"
+        assert fields == ((0, 0, 4), (1, 5, 7), (2, 8, 10), (3, 11, 13), (4, 14, 16), (5, 17, 19))
+
+    @pytest.mark.parametrize("zone", STAMP_ZONES)
+    @pytest.mark.parametrize("fmt", STAMP_FORMATS)
+    def test_edge_stamps(self, fmt, zone):
+        convert = _stamp_converter(_stamp_profile(fmt, zone))
+        for change in EDGE_FIELDS:
+            text = _render(fmt, {**BASE_FIELDS, **change})
+            for variant in (text, text[:-1], text + "0", text.replace(" ", "  "), text.replace(" ", "\t")):
+                assert _outcome(convert, variant) == _strptime_outcome(variant, fmt, zone), variant
+            for table in FOREIGN_DIGITS:
+                foreign = "".join(table[int(c)] if c.isascii() and c.isdigit() else c for c in text)
+                assert _outcome(convert, foreign) == _strptime_outcome(foreign, fmt, zone), foreign
+
+    @settings(max_examples=400, deadline=None)
+    @given(st.data())
+    def test_matches_strptime(self, data):
+        fmt = data.draw(st.sampled_from(STAMP_FORMATS))
+        zone = data.draw(st.sampled_from(STAMP_ZONES))
+        text = data.draw(stamp_texts(fmt))
+        convert = _stamp_converter(_stamp_profile(fmt, zone))
+        assert _outcome(convert, text) == _strptime_outcome(text, fmt, zone)
+
+
 class TestEpochStamps:
     PROFILE = DatasetProfile(
         name="e",
@@ -594,6 +731,15 @@ class TestParseFile:
         assert [e.event_id for e in events] == [6, 6, 63, 6, 42, 120, 6]
         assert all(e.seq_ids == ("trace",) for e in events)
         assert report.lines_total == report.parsed_events == 7
+
+    def test_tokenized_non_ascii_digit_is_an_invalid_line(self, tmp_path):
+        profile = DatasetProfile(name="tk", label_source="file-dir", tokenized=True)
+        f = tmp_path / "trace.txt"
+        f.write_text("6 ² 7 ① ٣\n")
+        report = IngestReport()
+        events = list(parse_file(f, None, profile, report=report))
+        assert [(e.line_no, e.event_id) for e in events] == [(1, 6), (3, 7)]
+        assert (report.lines_total, report.invalid_lines, report.matched_lines) == (5, 3, 2)
 
     def test_parse_tree_and_dir_labels(self, tmp_path):
         profile = DatasetProfile(

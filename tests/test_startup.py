@@ -151,6 +151,44 @@ def test_epoch_profile_parse_loads_no_datetime(tmp_path):
     assert rows[1:] == [f"1\t1\t1117838570.0\t{node}\tnormal", f"2\t2\t1117838571.0\t{node}\tanomalous:KERNDTLB"]
 
 
+def test_calendar_stamps_load_strptime_only_off_their_layout(tmp_path):
+    """Stamps on the format's fixed-width layout are decoded without `_strptime`; another stamp loads it.
+
+    An off-layout stamp gets `strptime`'s value or error text, as it did when
+    every stamp went through `strptime`.
+    """
+    parse = ["parse", "--profile", "synthetic", "--templates", DATA / "synthetic.templates", "--out"]
+    loaded = loaded_modules(tmp_path, *parse, "plain.tsv", "--input", DATA / "synthetic.log")
+    assert "datetime" in loaded
+    assert "_strptime" not in loaded - bare_modules()
+
+    from datetime import datetime, timezone
+
+    lines = (DATA / "synthetic.log").read_text().splitlines()
+    # Arabic-Indic digits where strptime reads them, month 13, Feb 29 of a non-leap year
+    stamps = {2: "٠٨0109 12000١", 4: "081309 120005", 5: "230229 120006"}
+    for index, stamp in stamps.items():
+        lines[index] = stamp + lines[index][13:]
+    (tmp_path / "odd.log").write_text("\n".join(lines) + "\n")
+    loaded = loaded_modules(tmp_path, *parse, "odd.tsv", "--input", "odd.log")
+    assert "_strptime" in loaded
+
+    values, errors = [], []
+    for line_no, line in enumerate(lines, 1):
+        try:
+            stamp = datetime.strptime(line[:13], "%y%m%d %H%M%S").replace(tzinfo=timezone.utc).timestamp()
+            values.append(repr(stamp))
+        except ValueError as exc:
+            values.append("")
+            errors.append(f"{line_no}: unparseable timestamp {line[:13]!r}: {exc}")
+    assert len(errors) == 2 and values[2] == repr(1199880001.0)
+    rows = [row.split("\t") for row in (tmp_path / "odd.tsv").read_text().splitlines()[1:]]
+    assert [row[2] for row in rows] == [values[int(row[0]) - 1] for row in rows]
+    assert {"3", "5", "6"} <= {row[0] for row in rows}
+    manifest = json.loads((tmp_path / "odd.tsv.manifest.json").read_text())
+    assert manifest["realized"]["timestamp_error_sample"] == errors
+
+
 def readme_chain(event_store: Path) -> list[list[str]]:
     """The README pipeline on the bundled data, plus the other commands, with relative outputs."""
     commands = [
