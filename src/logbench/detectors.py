@@ -10,8 +10,10 @@ detector whose score depends on less than the tuple merges the repeats
 left within one `score_batch` call and keeps nothing across calls: `ecvc`
 searches once per distinct count vector, so reorderings of one multiset
 share a search. `edit` scans each target once per packed block of its
-bank, so one pass gives the exact distance to every sequence of the block;
-`levenshtein` is the same kernel for one pair.
+bank, so one pass gives the exact distance to every sequence of the block.
+Each detector has one implementation: `levenshtein` is that same scan
+(`_scan`) over a block of one lane, and both `ecvc` rows share one
+postings walk (`CountVectorDetector._nearest`).
 
 Study rows such as `event+length+ecvc` are OR-combinations of these base
 detectors. They are not detectors of their own: the evaluation fits and
@@ -64,55 +66,17 @@ STUDY_DETECTORS = (
 )
 
 
-def levenshtein(a: PySequence, b: PySequence, *, cutoff: int | None = None) -> int:
+def levenshtein(a: PySequence, b: PySequence) -> int:
     """Edit distance (insert/delete/replace) between two event sequences.
 
-    Returns the exact distance, or cutoff + 1 as soon as the distance
-    provably exceeds `cutoff`. Computed with the bit-parallel algorithm of
-    Myers (JACM 1999) in Hyyrö's formulation for edit distance (2001,
-    2003): the shorter sequence is the pattern, and one column of the DP
-    matrix is held as vertical +1/-1 delta bit vectors of its length,
-    so each event of the longer sequence costs a fixed number of
-    big-integer operations. `score` follows the last matrix row; as it
-    falls by at most one per remaining column, the scan stops once
-    `score - remaining > cutoff`.
+    The shorter sequence is packed as the one lane of an `edit` bank block
+    and the longer one is scanned against it (`_scan`), so this is the
+    `edit` row's kernel for one pair.
     """
-    m, n = len(a), len(b)
-    if m > n:
-        a, b, m, n = b, a, n, m
-    if cutoff is None:
-        cutoff = n  # the distance never exceeds the longer length
-    elif n - m > cutoff:
-        return cutoff + 1
-    if m == 0:
-        return n
-    peq: dict = {}
-    bit = 1
-    for event in a:
-        peq[event] = peq.get(event, 0) | bit
-        bit <<= 1
-    full = bit - 1  # the m pattern bits
-    high = bit >> 1  # the last pattern row
-    vp, vn, score = full, 0, m
-    bound = cutoff + n  # score - (n - j) > cutoff  <=>  score + j > bound
-    get = peq.get
-    for j, event in enumerate(b, 1):
-        x = get(event, 0) | vn
-        d0 = ((((x & vp) + vp) ^ vp) | x) & full
-        hp = vn | (full ^ (d0 | vp))
-        hn = d0 & vp
-        if hp & high:
-            score += 1
-            if score + j > bound:
-                return cutoff + 1
-        elif hn & high:
-            score -= 1  # score + j is unchanged: no new exit
-        elif score + j > bound:
-            return cutoff + 1
-        hp = (hp << 1) | 1  # the top row grows by one per column
-        vp = ((hn << 1) | (full ^ (d0 | hp))) & full
-        vn = hp & d0
-    return score  # the exits keep score + n <= bound, so score <= cutoff
+    if len(a) > len(b):
+        a, b = b, a
+    vp, vn = _scan(_pack_block([a]), b)
+    return len(b) + vp.bit_count() - vn.bit_count()
 
 
 def _require_training(train: list[Sequence]) -> None:
@@ -205,25 +169,28 @@ class CountVectorDetector(Detector):
     length `lengths` and weighted mass `masses`. By histogram intersection
     (Swain & Ballard, IJCV 1991), the L1 numerator equals
     W_a + W_b - 2 * sum(w * min(a, b)), and the overlap sum needs only the
-    events the test vector shares with a bank vector, which `score`
-    accumulates by walking the test vector's postings (as in all-pairs
-    similarity search, Bayardo, Ma & Srikant, WWW 2007). Scores equal the
-    minimum over `distance` to the bit:
+    events the test vector shares with a bank vector. Both rows run one
+    walk, `_nearest`: it accumulates every bank vector's overlap in a dense
+    list by walking the test vector's postings (as in all-pairs similarity
+    search, Bayardo, Ma & Srikant, WWW 2007), then computes each bank
+    vector's distance from it. Scores equal the minimum over `distance` to
+    the bit:
 
-    * Plain ecvc has unit weights, so the numerator and both denominators
-      (L_a + L_b for mass, max(L_a, L_b) for len) are integers below 2**53
-      that `distance` also sums exactly; the same correctly rounded
-      quotient follows. A bank vector sharing no event with a non-empty
-      test vector scores exactly 1.0 and is never visited; an empty test
-      vector scores 0.0 if the bank holds an empty vector, else 1.0.
-    * ecvc-idf computes an approximate distance for every bank vector from
-      the weighted overlap and re-scores with `distance` every candidate
-      within `ECVC_RESCORE_TOLERANCE` of the approximate minimum, keeping
-      its 1.0 clamp and its zero-denominator 0.0 (idf weights of 0 make
-      zero mass possible). Both values differ from the true quotient by
-      rounding errors of order (distinct events) * 2**-53 * (W_a + W_b) / den,
-      a ratio of 1 under mass norm and below 2 * (log(n) + 1) under len
-      norm, so the true minimum is always among the re-scored candidates.
+    * Plain ecvc has integer unit weights, so the numerator and both
+      denominators (L_a + L_b for mass, max(L_a, L_b) for len) are exact
+      integers, and `distance` sums the same integers exactly in floats.
+      Each quotient is therefore the correctly rounded one `distance`
+      gives, and the walk's minimum, clamped to 1.0, is the score with no
+      re-scoring. An empty test vector scores 0.0 if the bank holds an
+      empty vector (a zero denominator), else 1.0.
+    * ecvc-idf's walk gives approximate distances. It re-scores with
+      `distance` every candidate within `ECVC_RESCORE_TOLERANCE` of the
+      approximate minimum, keeping its 1.0 clamp and its zero-denominator
+      0.0 (idf weights of 0 make zero mass possible). Both values differ
+      from the true quotient by rounding errors of order
+      (distinct events) * 2**-53 * (W_a + W_b) / den, a ratio of 1 under
+      mass norm and below 2 * (log(n) + 1) under len norm, so the true
+      minimum is always among the re-scored candidates.
     """
 
     def __init__(self, idf: bool = False, norm: str = "mass"):
@@ -234,7 +201,7 @@ class CountVectorDetector(Detector):
         self.norm = norm
         self.bank: list[Counter] = []
         self.weights: dict[int, float] = {}
-        self.default_weight = 1.0
+        self.default_weight = 1
         self.postings: dict[int, list[tuple[int, int]]] = {}
         self.lengths: list[int] = []
         self.masses: list[float] = []
@@ -257,7 +224,7 @@ class CountVectorDetector(Detector):
             self.default_weight = math.log(n) + 1.0
         else:
             self.weights = {}
-            self.default_weight = 1.0
+            self.default_weight = 1
         self.postings = {}
         for i, cv in enumerate(self.bank):
             for event, count in cv.items():
@@ -290,30 +257,9 @@ class CountVectorDetector(Detector):
             return 0.0
         return min(num / den, 1.0)
 
-    def _nearest_unweighted(self, cv: Counter) -> float:
-        if not cv:
-            return 0.0 if 0 in self.lengths else 1.0
-        overlap: dict[int, int] = {}
-        get = overlap.get
-        postings = self.postings
-        for event, a in cv.items():
-            for i, b in postings.get(event, ()):
-                overlap[i] = get(i, 0) + (a if a < b else b)
-        la = sum(cv.values())
-        lengths = self.lengths
-        mass_norm = self.norm == "mass"
-        best = 1.0
-        for i, shared in overlap.items():
-            lb = lengths[i]
-            den = la + lb if mass_norm else (la if la > lb else lb)
-            d = (la + lb - 2 * shared) / den
-            if d < best:
-                best = d
-        return best
-
-    def _nearest_weighted(self, cv: Counter) -> float:
+    def _nearest(self, cv: Counter) -> float:
         weight = self._weight
-        overlap = [0.0] * len(self.bank)
+        overlap = [0] * len(self.bank)
         postings = self.postings
         for event, a in cv.items():
             w = weight(event)
@@ -324,8 +270,10 @@ class CountVectorDetector(Detector):
         mass_norm = self.norm == "mass"
         approx = []
         for shared, wb, lb in zip(overlap, self.masses, self.lengths):
-            den = wa + wb if mass_norm else max(la, lb)
-            approx.append((wa + wb - 2.0 * shared) / den if den else 0.0)
+            den = wa + wb if mass_norm else (la if la > lb else lb)
+            approx.append((wa + wb - 2 * shared) / den if den else 0.0)
+        if not self.idf:
+            return min(1.0, min(approx))
         limit = min(approx) + ECVC_RESCORE_TOLERANCE
         best = 1.0
         for i, guess in enumerate(approx):
@@ -336,12 +284,11 @@ class CountVectorDetector(Detector):
         return best
 
     def score(self, seq):
-        cv = to_count_vector(seq)
-        return self._nearest_weighted(cv) if self.idf else self._nearest_unweighted(cv)
+        return self._nearest(to_count_vector(seq))
 
     def score_batch(self, seqs):
         """One nearest-neighbour search per distinct count vector (`count_vector_key`) of the batch."""
-        nearest = self._nearest_weighted if self.idf else self._nearest_unweighted
+        nearest = self._nearest
         found: dict[tuple[int, ...], float] = {}
         scores = []
         for seq in seqs:
@@ -430,8 +377,8 @@ class EditDistanceDetector(Detector):
     the lanes' bottom bits `lows` (the top DP row grows by one per column
     in every lane) and (offset, mask, m) per lane.
 
-    `score` runs the column step of `levenshtein` once per block over the
-    target; a lane's exact distance is then n + popcount(vp) -
+    `score` runs `_scan`, the bit-parallel column step, once per block over
+    the target; a lane's exact distance is then n + popcount(vp) -
     popcount(vn) over its bits, as the last column's vertical deltas sum
     from the top row's value n. Blocks are visited in ascending order of
     their smallest length bound |m - n| / max(m, n), a lower bound on every
@@ -481,18 +428,8 @@ class EditDistanceDetector(Detector):
         for block in sorted(self.blocks, key=length_bound):
             if length_bound(block) >= best:
                 break
-            _, _, peq, full, lows, lanes = block
-            get = peq.get
-            vp, vn = full, 0
-            for event in target:
-                x = get(event, 0) | vn
-                d0 = ((((x & vp) + vp) ^ vp) | x) & full
-                hp = vn | (full ^ (d0 | vp))
-                hn = d0 & vp
-                hp = (hp << 1) | lows
-                vp = ((hn << 1) | (full ^ (d0 | hp))) & full
-                vn = hp & d0
-            for offset, mask, m in lanes:
+            vp, vn = _scan(block, target)
+            for offset, mask, m in block[5]:
                 d = n + ((vp >> offset) & mask).bit_count() - ((vn >> offset) & mask).bit_count()
                 nd = d / (m if m > n else n)
                 if nd < best:
@@ -500,7 +437,29 @@ class EditDistanceDetector(Detector):
         return best
 
 
-def _pack_block(items: list[tuple[int, ...]]):
+def _scan(block, target: PySequence) -> tuple[int, int]:
+    """The vertical +1/-1 delta bits `(vp, vn)` of every lane of `block` after the last event of `target`.
+
+    One column step of Myers's bit-parallel edit distance (JACM 1999), in
+    Hyyrö's formulation (2001, 2003), per event of `target`, over all
+    lanes at once: each lane's zero top bit stops the carry of
+    (x & vp) + vp, and `lows` grows every lane's top DP row by one.
+    """
+    _, _, peq, full, lows, _ = block
+    get = peq.get
+    vp, vn = full, 0
+    for event in target:
+        x = get(event, 0) | vn
+        d0 = ((((x & vp) + vp) ^ vp) | x) & full
+        hp = vn | (full ^ (d0 | vp))
+        hn = d0 & vp
+        hp = (hp << 1) | lows
+        vp = ((hn << 1) | (full ^ (d0 | hp))) & full
+        vn = hp & d0
+    return vp, vn
+
+
+def _pack_block(items: list[PySequence[int]]):
     """One `EditDistanceDetector` block: each item a lane of len(item) bits and a zero bit."""
     peq: dict[int, int] = {}
     full = lows = 0

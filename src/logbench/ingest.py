@@ -464,6 +464,10 @@ def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
     by `int()` and the `datetime` constructor, to the float `strptime`
     gives. Any other text, or a value the constructor refuses, goes to
     `strptime` for its value or error text, and only that loads `_strptime`.
+    A year-less format is read as `"%Y " + format` on the text prefixed with
+    `base_year` (default 1970), so the date is built in that year. A format
+    `strptime` cannot compile (a repeated directive) raises ProfileError at
+    the first stamp it reads.
     """
     fmt = profile.timestamp_format
     if fmt is None:
@@ -478,12 +482,19 @@ def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
     else:
         sign = 1 if offset.group(1) == "+" else -1
         tzinfo = timezone(sign * timedelta(hours=int(offset.group(2)), minutes=int(offset.group(3))))
-    year = None if "%y" in fmt or "%Y" in fmt else (profile.base_year or 1970)
+    prefix = ""
+    if "%y" not in fmt and "%Y" not in fmt:
+        # a year-less stamp is read in base_year itself, so Feb 29 of a leap year parses
+        prefix = f"{profile.base_year or 1970:04d} "
+        fmt = "%Y " + fmt
 
     def convert(text: str) -> float:
-        dt = datetime.strptime(text, fmt)
-        if year is not None:
-            dt = dt.replace(year=year)
+        try:
+            dt = datetime.strptime(prefix + text, fmt)
+        except re.error as exc:
+            raise ProfileError(
+                f"timestamp_format {profile.timestamp_format!r} is not a valid format: {exc}"
+            ) from None
         return dt.replace(tzinfo=tzinfo).timestamp()
 
     layout = _stamp_layout(fmt)
@@ -492,16 +503,17 @@ def _stamp_converter(profile: DatasetProfile) -> Callable[[str], float] | None:
     shapes, fields, width, short_year = layout
 
     def decode(text: str) -> float:
-        if text.translate(_ZEROED) != shapes.get(len(text)):
+        full = prefix + text
+        if full.translate(_ZEROED) != shapes.get(len(full)):
             return convert(text)
         args = [0, 1, 1, 0, 0, 0, 0]
         for arg, start, end in fields:
-            args[arg] = int(text[start:end])
+            args[arg] = int(full[start:end])
         if short_year:
             # strptime's pivot: 69-99 are 19xx, 00-68 are 20xx
             args[0] += 2000 if args[0] <= 68 else 1900
-        if len(text) > width:
-            args[6] = int(text[width:]) * 10 ** (width + 6 - len(text))
+        if len(full) > width:
+            args[6] = int(full[width:]) * 10 ** (width + 6 - len(full))
         try:
             stamp = datetime(*args, tzinfo=tzinfo)
         except ValueError:

@@ -49,17 +49,11 @@ def levenshtein_recursive(a, b) -> int:
     return go(len(a), len(b))
 
 
-def levenshtein_dp(a, b, cutoff=None) -> int:
-    """Row-by-row O(mn) edit distance; the reference for the cutoff contract.
-
-    With a cutoff, returns cutoff + 1 as soon as the distance provably
-    exceeds it; otherwise the exact distance.
-    """
+def levenshtein_dp(a, b) -> int:
+    """Row-by-row O(mn) edit distance."""
     m, n = len(a), len(b)
     if m < n:
         a, b, m, n = b, a, n, m
-    if cutoff is not None and m - n > cutoff:
-        return cutoff + 1
     if n == 0:
         return m
     prev = list(range(n + 1))
@@ -67,7 +61,6 @@ def levenshtein_dp(a, b, cutoff=None) -> int:
         ai = a[i - 1]
         cur = [i]
         append = cur.append
-        best = i
         for j in range(1, n + 1):
             c = prev[j - 1] + (ai != b[j - 1])
             up = prev[j] + 1
@@ -77,15 +70,8 @@ def levenshtein_dp(a, b, cutoff=None) -> int:
             if left < c:
                 c = left
             append(c)
-            if c < best:
-                best = c
-        if cutoff is not None and best > cutoff:
-            return cutoff + 1
         prev = cur
-    d = prev[n]
-    if cutoff is not None and d > cutoff:
-        return cutoff + 1
-    return d
+    return prev[n]
 
 
 def lz_phrases_naive(seqs, count_trailing: bool = False) -> list[tuple[int, int]]:

@@ -15,8 +15,8 @@ from logbench.cli import main as cli_main
 from logbench.complexity import lz_complexity, ngram_entropy
 from logbench.detectors import NGramDetector, CountVectorDetector, levenshtein, make_detector
 from logbench.evaluation import ConfusionCounts, EvalConfig, evaluate_study, metrics_from_counts
-from logbench.fixtures import synthetic_corpus
 
+from corpora import synthetic_corpus
 from oracles import (
     confusion_naive,
     ecvc_score_naive,

@@ -382,6 +382,17 @@ class TestParseProfileErrors:
         key = line.split(" =")[0]
         assert err.startswith(f"error: {key} ") and "does not compile" in err
 
+    def test_uncompilable_timestamp_format_names_the_key(self, tmp_path, synthetic_log_path, capsys):
+        """A repeated directive makes `strptime` raise `re.error`; parse names the key instead."""
+        code, _ = self._parse(
+            tmp_path,
+            synthetic_log_path,
+            "name = x\nlabel_source = sequence-file\npreamble_tokens = 5\n"
+            "timestamp_pattern = ^(\\d{6} \\d{2})\ntimestamp_format = %y%m%d %m\n",
+        )
+        assert code == 2
+        assert capsys.readouterr().err.startswith("error: timestamp_format '%y%m%d %m' is not a valid format")
+
 
     def test_unknown_boolean_value_names_the_line(self, tmp_path, synthetic_log_path, capsys):
         code, profile = self._parse(

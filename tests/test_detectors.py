@@ -198,10 +198,9 @@ class TestEcvc:
     @pytest.mark.parametrize("idf", [False, True])
     def test_batch_searches_once_per_distinct_count_vector(self, idf):
         det = CountVectorDetector(idf=idf).fit([seq([1, 2]), seq([2, 3, 3])])
-        method = "_nearest_weighted" if idf else "_nearest_unweighted"
         searched = []
-        search = getattr(det, method)
-        setattr(det, method, lambda cv: searched.append(dict(cv)) or search(cv))
+        search = det._nearest
+        det._nearest = lambda cv: searched.append(dict(cv)) or search(cv)
         batch = [seq(t) for t in ([1, 2, 2], [2, 1, 2], [3], [2, 2, 1], [3], [], [])]
         scores = det.score_batch(batch)
         assert searched == [{1: 1, 2: 2}, {3: 1}, {}]
@@ -385,13 +384,6 @@ class TestLevenshtein:
         assert levenshtein([1, 2], [1, 2]) == 0
         assert levenshtein([1, 2], [2, 1]) == 2
 
-    def test_cutoff_short_circuits(self):
-        assert levenshtein([1] * 10, [2] * 10, cutoff=3) == 4
-        assert levenshtein([1] * 10, [], cutoff=3) == 4
-
-    def test_cutoff_exact_when_within(self):
-        assert levenshtein([1, 2, 3], [1, 3], cutoff=2) == 1
-
     @given(
         st.lists(st.integers(min_value=1, max_value=3), max_size=6),
         st.lists(st.integers(min_value=1, max_value=3), max_size=6),
@@ -417,10 +409,13 @@ def _mutated(rng, events, alphabet, edits):
 #: Pattern lengths on both sides of the 64- and 128-bit word boundaries.
 _WORD_EDGES = (0, 1, 2, 63, 64, 65, 127, 128, 129, 200, 400)
 
+#: Pattern lengths on both sides of a packed `edit` block, and one over two blocks.
+_BLOCK_EDGES = (1023, 1024, 1025, 2100)
+
 
 @st.composite
 def _kernel_case(draw):
-    """Two event sequences of length 0-400 over 1-40 event ids and a cutoff."""
+    """Two event sequences of length 0-400 over 1-40 event ids."""
     alphabet = draw(st.integers(min_value=1, max_value=40))
     event = st.integers(min_value=1, max_value=alphabet)
     length = st.integers(min_value=0, max_value=400)
@@ -429,49 +424,44 @@ def _kernel_case(draw):
     if draw(st.booleans()):
         size = draw(length)
         b = draw(st.lists(event, min_size=size, max_size=size))
-    else:  # a few edits away, so cutoffs near the distance bind
+    else:  # a few edits away
         rng = draw(st.randoms(use_true_random=False))
         b = _mutated(rng, a, alphabet, draw(st.integers(min_value=0, max_value=12)))
-    top = max(len(a), len(b))
-    cutoff = draw(
-        st.one_of(
-            st.none(),
-            st.just(0),
-            st.integers(min_value=0, max_value=top + 2),
-            st.integers(min_value=top, max_value=top + 5),
-        )
-    )
-    return a, b, cutoff
+    return a, b
 
 
 class TestLevenshteinKernel:
-    """The bit-parallel kernel against the O(mn) DP it replaced."""
+    """`levenshtein`, the packed `edit` scan over one lane, against the O(mn) DP."""
 
     @settings(max_examples=100, deadline=None)
     @given(_kernel_case())
     def test_matches_dp_oracle(self, case):
-        a, b, cutoff = case
-        want = levenshtein_dp(a, b, cutoff)
-        assert levenshtein(a, b, cutoff=cutoff) == want
-        assert levenshtein(b, a, cutoff=cutoff) == want
+        a, b = case
+        want = levenshtein_dp(a, b)
+        assert levenshtein(a, b) == want
+        assert levenshtein(b, a) == want
+
+    @staticmethod
+    def _check_pairs(pairs, rng):
+        """Random sequences of each length pair; equal lengths get a mutant a few edits away."""
+        for m, n in pairs:
+            alphabet = rng.choice((1, 2, 5, 40))
+            a = [rng.randint(1, alphabet) for _ in range(m)]
+            if m == n:
+                b = _mutated(rng, a, alphabet, rng.randint(0, 6))
+            else:
+                b = [rng.randint(1, alphabet) for _ in range(n)]
+            want = levenshtein_dp(a, b)
+            assert levenshtein(a, b) == want, (m, n)
+            assert levenshtein(b, a) == want, (m, n)
 
     def test_word_boundary_lengths(self):
-        rng = random.Random(64)
-        for m in _WORD_EDGES:
-            for n in _WORD_EDGES:
-                alphabet = rng.choice((1, 2, 5, 40))
-                a = [rng.randint(1, alphabet) for _ in range(m)]
-                if m == n:
-                    b = _mutated(rng, a, alphabet, rng.randint(0, 6))
-                else:
-                    b = [rng.randint(1, alphabet) for _ in range(n)]
-                exact = levenshtein_dp(a, b)
-                for cutoff in (None, 0, exact - 1, exact, max(len(a), len(b)), rng.randint(0, 400)):
-                    if cutoff is not None and cutoff < 0:
-                        continue
-                    want = levenshtein_dp(a, b, cutoff)
-                    assert levenshtein(a, b, cutoff=cutoff) == want, (m, n, cutoff)
-                    assert levenshtein(b, a, cutoff=cutoff) == want, (m, n, cutoff)
+        self._check_pairs([(m, n) for m in _WORD_EDGES for n in _WORD_EDGES], random.Random(64))
+
+    def test_block_boundary_lengths(self):
+        """A one-lane block longer than `EDIT_BLOCK_BITS` is scanned like any other."""
+        pairs = [(m, n) for m in _BLOCK_EDGES for n in (0, 1, 65, m)] + [(1023, 1025), (1024, 2100)]
+        self._check_pairs(pairs, random.Random(1024))
 
 
 class TestEditKernelCalls:

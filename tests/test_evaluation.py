@@ -38,11 +38,10 @@ from logbench.evaluation import (
     write_scores_csv,
     write_summary_csv,
 )
-from logbench.fixtures import synthetic_corpus
 from logbench.events import Label, NORMAL, ParsedEvent
 from logbench.sequencing import Sequence, read_sequences
 
-from corpora import event_labeled_corpus, event_study
+from corpora import event_labeled_corpus, event_study, synthetic_corpus
 from oracles import combination_scores_naive, confusion_naive, evaluate_run_listed, event_confusion_naive
 
 BUNDLED = Path(__file__).parent.parent / "src" / "logbench" / "data" / "synthetic_sequences.tsv"

@@ -442,8 +442,9 @@ class TestTimestampMemo:
             assert event.timestamp == value
 
 
-#: The stamp formats the decoder is checked on; the last has no year, so `strptime` reads it.
-STAMP_FORMATS = ["%y%m%d %H%M%S", "%Y-%m-%d %H:%M:%S,%f", "%Y-%m-%d %H:%M:%S.%f", "%H:%M:%S.%f"]
+#: The stamp formats the decoder is checked on; the last two have no year, so they are
+#: read as "%Y " + format on the text prefixed with the profile's base year 2012.
+STAMP_FORMATS = ["%y%m%d %H%M%S", "%Y-%m-%d %H:%M:%S,%f", "%Y-%m-%d %H:%M:%S.%f", "%H:%M:%S.%f", "%m-%d %H:%M:%S"]
 STAMP_ZONES = ["UTC", "+05:30", "-11:45"]
 #: Non-ASCII digits: Arabic-Indic and fullwidth ones match `\d`, so `strptime` reads them.
 FOREIGN_DIGITS = ["٠١٢٣٤٥٦٧٨٩", "０１２３４５６７８９", "⁰¹²³⁴⁵⁶⁷⁸⁹"]
@@ -461,11 +462,10 @@ def _strptime_outcome(text, fmt, zone):
 
     offset = timedelta(0) if zone == "UTC" else timedelta(hours=int(zone[1:3]), minutes=int(zone[4:]))
     tzinfo = timezone(-offset if zone[0] == "-" else offset)
+    if "%y" not in fmt and "%Y" not in fmt:
+        text, fmt = f"2012 {text}", f"%Y {fmt}"
     try:
-        dt = datetime.strptime(text, fmt)
-        if "%y" not in fmt and "%Y" not in fmt:
-            dt = dt.replace(year=2012)
-        return dt.replace(tzinfo=tzinfo).timestamp()
+        return datetime.strptime(text, fmt).replace(tzinfo=tzinfo).timestamp()
     except ValueError as exc:
         return str(exc)
 
@@ -536,7 +536,9 @@ class TestStampDecoder:
     """The fixed-width decoder gives `strptime`'s value or error text on every stamp."""
 
     def test_layouts(self):
-        assert [_stamp_layout(fmt) is not None for fmt in STAMP_FORMATS] == [True, True, True, False]
+        assert [_stamp_layout(fmt) is not None for fmt in STAMP_FORMATS] == [True, True, True, False, False]
+        # a year-less numeric format is decoded once its base-year prefix is added
+        assert all(_stamp_layout("%Y " + fmt) is not None for fmt in STAMP_FORMATS[3:])
         for fmt in [
             "%b %d %H:%M:%S", "%Y %y", "%Y%Y", "%Y-%m-%d  %H", "%Y\t%m", "%Y1%m", "%Y%%", "%Y%",
             "%Y%f%m", "%f%Y", "%m%d", "%Y-%m-%d %H:%M:%S %z", "",
@@ -882,6 +884,29 @@ class TestProfiles:
 
         dt = datetime.datetime.fromtimestamp(ev.timestamp, datetime.timezone.utc)
         assert dt.year == 2005
+
+    @pytest.mark.parametrize("fmt", ["%b %d %H:%M:%S", "%m-%d %H:%M:%S"])
+    def test_feb_29_parses_only_in_a_leap_base_year(self, fmt):
+        """A year-less stamp is built in base_year itself, not in strptime's default year 1900."""
+        from datetime import datetime, timezone
+
+        text = "Feb 29 12:01:01" if fmt.startswith("%b") else "02-29 12:01:01"
+        catalog = make_catalog((1, "session closed <*>"))
+        for year, expected in ((2008, datetime(2008, 2, 29, 12, 1, 1, tzinfo=timezone.utc).timestamp()), (2007, None)):
+            profile = DatasetProfile(
+                name="y",
+                label_source="sequence-file",
+                preamble_tokens=3 if fmt.startswith("%b") else 2,
+                timestamp_pattern=r"^(\S+ +\S+ \S+)" if fmt.startswith("%b") else r"^(\S+ \S+)",
+                timestamp_format=fmt,
+                base_year=year,
+            )
+            report = IngestReport()
+            ev = LineParser(catalog, profile).parse(f"{text} session closed for root", 1, report)
+            assert ev.timestamp == expected
+            assert report.timestamp_error_count == (expected is None)
+            if expected is None:
+                assert "day is out of range for month" in report.timestamp_errors[0][1]
 
     def test_label_round_trip(self):
         for label in (None, NORMAL, Label(True), Label(True, "net")):
