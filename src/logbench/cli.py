@@ -223,19 +223,18 @@ def cmd_group(args: argparse.Namespace) -> int:
     else:
         if args.window is None:
             raise ValidationError("--window is required for window mode")
-        seqs = sequencing.group_by_window(sequencing.dedupe_replicated(events), args.window, args.step)
-
+        seqs = sequencing.stream_windows(sequencing.dedupe_replicated(events), args.window, args.step)
     if labels_file:
-        labels = sequencing.load_label_file(labels_file)
-        seqs, unlabeled = sequencing.attach_sequence_labels(seqs, labels)
+        seqs, unlabeled = sequencing.attach_sequence_labels(seqs, sequencing.load_label_file(labels_file))
         manifest.record("unlabeled_excluded", len(unlabeled))
     else:
-        manifest.record("labels_lifted_from_events", sum(1 for seq in seqs if seq.label is not None))
-
+        seqs = lifted = sequencing.LiftedLabels(seqs)
     out = Path(args.out)
     with atomic_write(out) as handle:
         rows = sequencing.write_sequences(seqs, handle)
     manifest.time_stage("group")
+    if not labels_file:
+        manifest.record("labels_lifted_from_events", lifted.count)
     manifest.record("sequences_written", rows)
     manifest.write(_manifest_path_for(out, is_dir=False))
     print(f"{rows} sequences -> {out}")
@@ -291,9 +290,7 @@ def cmd_stats(args: argparse.Namespace) -> int:
                     )
         else:
             for cls, s in stats.interarrival_dist(seqs).items():
-                handle.write(
-                    f"{cls},,{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n"
-                )
+                handle.write(f"{cls},,{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n")
 
     manifest.time_stage("stats")
     manifest.record("sequences", len(seqs))

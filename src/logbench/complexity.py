@@ -1,4 +1,8 @@
-"""Dataset complexity measures: n-gram entropy and Lempel-Ziv phrase counts."""
+"""Dataset complexity measures: n-gram entropy and Lempel-Ziv phrase counts.
+
+`entropy_report` reads the whole sequence list once per `n`, pooling one
+`n` at a time, the largest first; `lz_complexity` reads it once, in order.
+"""
 
 from __future__ import annotations
 
@@ -61,7 +65,15 @@ def ngram_entropy(seqs: Iterable[Sequence | PySequence[int]], n: int) -> Entropy
 def entropy_report(
     seqs: list[Sequence] | list[PySequence[int]], ns: Iterable[int] = DEFAULT_ENTROPY_NS
 ) -> list[EntropyEntry]:
-    return [ngram_entropy(seqs, n) for n in ns]
+    """`ngram_entropy` for each of `ns`, in that order, repeats included.
+
+    The pools are built one at a time, from the largest `n` down. Each `n`
+    pools tuples of its own size, so building the largest pool first lets
+    the smaller pools reuse the memory it freed.
+    """
+    ns = tuple(ns)
+    entries = {n: ngram_entropy(seqs, n) for n in sorted(set(ns), reverse=True)}
+    return [entries[n] for n in ns]
 
 
 class LZCurve(NamedTuple):

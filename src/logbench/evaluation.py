@@ -427,7 +427,8 @@ def evaluate_study(
     them, this one included (see `forked.forked_map`); where `os.fork` is
     missing, this process scores them all and logs a warning. Results are
     identical whatever the process count. Each run logs one INFO line, in
-    run order, with its row count and wall seconds.
+    run order, with its row count and wall seconds, as soon as it and every
+    earlier run are scored.
 
     `anomalous_events`, the count of anomalous events per event type in
     `seqs`, selects event granularity. `detector_specs` must then name only

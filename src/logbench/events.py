@@ -64,6 +64,19 @@ def label_reader() -> Callable[[str], Label | None]:
     return read
 
 
+class SharedInts(dict):
+    """Event-id text to `int`, one shared object per distinct text; each store read makes its own.
+
+    Python caches only the ints from -5 to 256, so a reader calling `int`
+    on each id would hold one object per occurrence of every larger id.
+    Text that is no integer raises `int`'s ValueError.
+    """
+
+    def __missing__(self, text: str) -> int:
+        value = self[text] = int(text)
+        return value
+
+
 def format_label(label: Label | None) -> str:
     if label is None:
         return ""
@@ -196,18 +209,22 @@ def write_events(
 
 
 def read_events(path: str | Path) -> Iterator[ParsedEvent]:
-    """Read the parsed-event store back; rows with the same label text share one `Label`.
+    """Read the parsed-event store back, holding one object per distinct event id and label text.
+
+    Rows with the same event id share one `int` and rows with the same
+    label text one `Label`.
 
     A malformed row, or a timestamp that is nan or infinite, raises
     ValidationError at path:line.
     """
     read_label = label_reader()
+    ids = SharedInts()
 
     def parse_row(row: list[str]) -> ParsedEvent:
         line_no, event_id, ts, sid, label = row
         stamp = float(ts) if ts else None
         if stamp is not None and not isfinite(stamp):
             raise ValidationError(f"timestamp is not finite: {ts}")
-        return ParsedEvent(int(line_no), int(event_id), stamp, (sid,) if sid else (), read_label(label))
+        return ParsedEvent(int(line_no), ids[event_id], stamp, (sid,) if sid else (), read_label(label))
 
     return read_store(path, EVENTS_HEADER, parse_row)

@@ -3,13 +3,17 @@
 Within-sequence order is source line order throughout: simultaneous
 timestamps make line order the only reliable total order.
 
-Grouping builds each sequence's events and stamps as lists. The sequence
-store reader, which `stats`, `complexity`, `eval` and `sweep` all use,
-gives them back compactly: the events as a tuple, one object per distinct
-tuple of the read, and the stamps as one `array('d')` when all of them are
-present. A sequence with a missing stamp keeps a list with None in its
-place. A sequence compares by value, so both forms of the same sequence
-are equal, and both write out the same bytes.
+Grouping builds each sequence's events and stamps as lists. Grouping by
+identifier holds every sequence until the stream ends; `stream_windows`
+holds at most one window of events and yields each window as it fills, so
+`group --mode window` writes windows as they come. The sequence store
+reader, which `stats`, `complexity`, `eval` and `sweep` all use, gives the
+sequences back compactly: the events as a tuple, one object per distinct
+tuple of the read, whose event ids are one shared `int` per distinct id,
+and the stamps as one `array('d')` when all of them are present. A
+sequence with a missing stamp keeps a list with None in its place. A
+sequence compares by value, so both forms of the same sequence are equal,
+and both write out the same bytes.
 
 A grouped sequence's label is a running value over its events: normal,
 then the first anomalous event's label, and None for good once an event
@@ -22,13 +26,15 @@ from __future__ import annotations
 import csv
 import logging
 from array import array
-from collections import Counter
+from collections import Counter, deque
 from math import isfinite
 from pathlib import Path
 from typing import Iterable, Iterator, Mapping, TextIO
 
 from .errors import ValidationError
-from .events import Label, NORMAL, ParsedEvent, format_label, label_reader, open_utf8, read_store, write_store
+from .events import (
+    Label, NORMAL, ParsedEvent, SharedInts, format_label, label_reader, open_utf8, read_store, write_store,
+)
 
 LOGGER = logging.getLogger("logbench.sequencing")
 
@@ -166,36 +172,69 @@ def pair_deltas(seq: Sequence) -> Iterator[tuple[tuple[int, int], float]]:
             yield (events[i], events[i + 1]), t1 - t0
 
 
-def group_by_window(
-    events: Iterable[ParsedEvent], window_size: int, step: int
-) -> list[Sequence]:
-    """Slide a fixed window over the global event stream.
+def stream_windows(events: Iterable[ParsedEvent], window_size: int, step: int) -> Iterator[Sequence]:
+    """Slide a fixed window over the global event stream, holding at most one window of events.
 
-    Windows start at multiples of `step`; all full windows are emitted,
-    followed by the next start's partial window when it holds events no
-    full window covers. A stream no longer than the window thus yields
+    Windows start at multiples of `step`. Each full window is yielded as
+    soon as its last event is pulled from `events`; at the end of the
+    stream, the next start's partial window follows when it holds events
+    no full window covers. A stream no longer than the window thus yields
     itself as the single sequence. A window whose events all carry a label
-    gets the lifted label.
+    gets the lifted label. The bounds are checked on the call, before any
+    event is pulled.
     """
     if window_size < 1:
         raise ValidationError("window_size must be >= 1")
     if step < 1:
         raise ValidationError("step must be >= 1")
-    stream = list(events)
-    n = len(stream)
-    starts = list(range(0, n - window_size + 1, step))
-    covered, tail = (starts[-1] + window_size, starts[-1] + step) if starts else (0, 0)
-    if max(covered, tail) < n:
-        starts.append(tail)
-    out = []
-    for s in starts:
-        chunk = stream[s : s + window_size]
-        seq = Sequence(f"window-{s}", [ev.event_id for ev in chunk], [ev.timestamp for ev in chunk], NORMAL)
-        for ev in chunk:
-            if ev.label is None or (ev.label.anomalous and seq.label is NORMAL):
-                seq.label = ev.label
-        out.append(_finalize(seq))
-    return out
+    return _windows(events, window_size, step)
+
+
+def _window(start: int, chunk: Iterable[ParsedEvent]) -> Sequence:
+    seq = Sequence(f"window-{start}", [ev.event_id for ev in chunk], [ev.timestamp for ev in chunk], NORMAL)
+    for ev in chunk:
+        if ev.label is None or (ev.label.anomalous and seq.label is NORMAL):
+            seq.label = ev.label
+    return _finalize(seq)
+
+
+def _windows(events: Iterable[ParsedEvent], window_size: int, step: int) -> Iterator[Sequence]:
+    chunk: deque[ParsedEvent] = deque()  # the events pulled from `start` on, at most window_size
+    start = covered = n = 0  # next window's start, end of the last full window, events pulled
+    for ev in events:
+        if n >= start:
+            chunk.append(ev)
+        n += 1
+        if n == start + window_size:
+            yield _window(start, chunk)
+            covered = n
+            start += step
+            if step < window_size:
+                for _ in range(step):
+                    chunk.popleft()
+            else:
+                chunk.clear()
+    if n > max(covered, start):
+        yield _window(start, chunk)
+
+
+def group_by_window(events: Iterable[ParsedEvent], window_size: int, step: int) -> list[Sequence]:
+    """Every window of `stream_windows`, as a list."""
+    return list(stream_windows(events, window_size, step))
+
+
+class LiftedLabels:
+    """Sequences passed through as they are iterated, counting the ones that have a label."""
+
+    def __init__(self, seqs: Iterable[Sequence]):
+        self.seqs = seqs
+        self.count = 0
+
+    def __iter__(self) -> Iterator[Sequence]:
+        for seq in self.seqs:
+            if seq.label is not None:
+                self.count += 1
+            yield seq
 
 
 def attach_sequence_labels(
@@ -290,7 +329,8 @@ def read_sequences(path: str | Path) -> list[Sequence]:
     """Read the sequence store back.
 
     Events come back as tuples, one shared object per distinct tuple of the
-    read, and labels as one shared `Label` per distinct label text. A row
+    read, holding one shared `int` per distinct event id, and labels as one
+    shared `Label` per distinct label text. A row
     whose stamps are all present gets them as one `array('d')`; a row with
     a missing stamp (`-`) gets a list with None in its place.
     A malformed row, or a timestamp that is nan or infinite, raises
@@ -298,13 +338,14 @@ def read_sequences(path: str | Path) -> list[Sequence]:
     """
     shared: dict[tuple[int, ...], tuple[int, ...]] = {}
     read_label = label_reader()
+    ids = SharedInts()
     by_text: dict[str, tuple[int, ...]] = {}  # a repeated events column is parsed once
 
     def parse_row(row: list[str]) -> Sequence:
         sid, label, events, ts = row
         key = by_text.get(events)
         if key is None:
-            key = tuple(map(int, events.split()))
+            key = tuple(map(ids.__getitem__, events.split()))
             key = by_text[events] = shared.setdefault(key, key)
         stamps: list[float | None] | array | None = None
         if ts:

@@ -266,6 +266,27 @@ def window_spans_naive(n, window, step):
     return spans
 
 
+def windows_naive(events, window, step):
+    """Each window of `window_spans_naive` over a list of parsed events, as a sequence.
+
+    A window's label is None when any event has none, else the first
+    anomalous event's label, else normal; all-missing stamps become None.
+    """
+    out = []
+    for start, end in window_spans_naive(len(events), window, step):
+        chunk = events[start:end]
+        labels = [e.label for e in chunk]
+        if None in labels:
+            label = None
+        else:
+            label = next((x for x in labels if x.anomalous), NORMAL)
+        stamps = [e.timestamp for e in chunk]
+        if all(t is None for t in stamps):
+            stamps = None
+        out.append(Sequence(f"window-{start}", [e.event_id for e in chunk], stamps, label))
+    return out
+
+
 def catalog_match_naive(catalog, message):
     """Try every template in catalog order; the first whose regex fullmatches wins.
 

@@ -62,6 +62,10 @@ class TestEntropy:
         report = entropy_report([[1, 2, 3, 4, 5]], ns=(1, 2, 3))
         assert [e.n for e in report] == [1, 2, 3]
 
+    def test_report_keeps_the_order_and_repeats_of_ns(self):
+        seqs = [[1, 2, 3, 1, 2, 4], [2, 3], [5]]
+        assert entropy_report(seqs, ns=(3, 1, 3, 2)) == [ngram_entropy(seqs, n) for n in (3, 1, 3, 2)]
+
     def test_sequences_accepted_directly(self):
         entry = ngram_entropy([Sequence("a", [1, 2, 1, 2])], 2)
         assert entry.distinct_ngrams == 2

@@ -732,6 +732,39 @@ class TestForkedRuns:
         assert forked.outcomes == serial.outcomes
         assert written(forked) == written(serial)
 
+    def test_results_are_yielded_in_run_order_as_they_arrive(self):
+        from logbench.forked import forked_map
+
+        parent = os.getpid()
+        scored_here = []
+
+        def score(r):
+            if not in_child(parent):
+                scored_here.append(r)
+            return r * 10
+
+        results = forked_map(score, range(5), 2)
+        assert next(results) == 0
+        assert next(results) == 10  # the child's first run, before this process scores run 2
+        assert scored_here == [0]
+        assert list(results) == [20, 30, 40]
+        assert scored_here == [0, 2, 4]
+
+    def test_progress_lines_come_as_the_runs_do(self, corpus, monkeypatch, caplog):
+        parent = os.getpid()
+        logged_before = {}  # run scored here -> the progress lines logged before it started
+        one_run = evaluation._evaluate_one_run
+
+        def logging_one_run(*args):
+            if not in_child(parent):
+                logged_before[args[-1]] = [r.getMessage().split(":")[0] for r in caplog.records]
+            return one_run(*args)
+
+        monkeypatch.setattr(evaluation, "_evaluate_one_run", logging_one_run)
+        with caplog.at_level(logging.INFO, logger="logbench.evaluation"):
+            evaluate_study(corpus, EvalConfig(train_fraction=0.1, repetitions=4), ["event"], jobs=2)
+        assert logged_before == {0: [], 2: ["run 1/4 finished", "run 2/4 finished"]}
+
     def test_no_sequence_is_pickled(self, corpus, monkeypatch):
         def refuse(self, protocol):
             raise AssertionError("a Sequence was pickled")

@@ -90,6 +90,24 @@ def test_rows_with_one_label_text_share_one_label(tmp_path):
     assert out.getvalue() == text
 
 
+def test_rows_with_one_event_id_share_one_int(tmp_path):
+    path = tmp_path / "events.tsv"
+    path.write_text("\t".join(EVENTS_HEADER) + "\n1\t1000\t\ta\t\n2\t300\t\ta\t\n3\t1000\t\tb\t\n4\t300\t\tb\t\n")
+    first, second, third, fourth = read_events(path)
+    assert [e.event_id for e in (first, second, third, fourth)] == [1000, 300, 1000, 300]
+    assert first.event_id is third.event_id
+    assert second.event_id is fourth.event_id
+    assert list(read_events(path))[0].event_id is not first.event_id  # shared within one read only
+
+
+def test_an_event_id_that_is_no_integer_is_refused_at_its_line(tmp_path):
+    path = tmp_path / "events.tsv"
+    path.write_text("\t".join(EVENTS_HEADER) + "\n1\t300\t\ta\t\n2\t3o0\t\ta\t\n")
+    message = rf"^{re.escape(str(path))}:3: invalid literal for int\(\) with base 10: '3o0'$"
+    with pytest.raises(ValidationError, match=message):
+        list(read_events(path))
+
+
 def test_parsed_event_is_a_tuple_with_an_optional_label():
     ev = ParsedEvent(3, 7, None, ("a", "b"))
     assert ev.label is None

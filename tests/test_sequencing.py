@@ -1,7 +1,9 @@
 from __future__ import annotations
 
 import io
+import os
 import re
+import tracemalloc
 from array import array
 from collections import Counter
 
@@ -20,11 +22,12 @@ from logbench.sequencing import (
     group_by_window,
     load_label_file,
     read_sequences,
+    stream_windows,
     to_count_vector,
     write_sequences,
 )
 
-from oracles import window_spans_naive
+from oracles import window_spans_naive, windows_naive
 
 
 def ev(line_no, event_id, seq_ids, ts=None, label=None):
@@ -82,6 +85,11 @@ class TestGroupByIdentifier:
         assert seq.label is None
 
 
+def streamed(events, window, step):
+    """`stream_windows` over a one-shot iterator of `events`, as a list."""
+    return list(stream_windows(iter(events), window, step))
+
+
 class TestGroupByWindow:
     def test_window5_step2_over_7_events(self):
         events = [ev(i + 1, i, ["x"]) for i in range(7)]
@@ -108,10 +116,10 @@ class TestGroupByWindow:
         # stream lengths around the window and its following step starts
         n = max(0, window + offset + periods * step)
         events = [ev(i + 1, i, ["x"]) for i in range(n)]
-        windows = group_by_window(events, window, step)
         spans = window_spans_naive(n, window, step)
-        assert [w.events for w in windows] == [list(range(a, b)) for a, b in spans]
-        assert [w.seq_id for w in windows] == [f"window-{a}" for a, _ in spans]
+        for windows in (group_by_window(events, window, step), streamed(events, window, step)):
+            assert [w.events for w in windows] == [list(range(a, b)) for a, b in spans]
+            assert [w.seq_id for w in windows] == [f"window-{a}" for a, _ in spans]
 
     def test_tumbling_10_events_window3(self):
         events = [ev(i + 1, i, ["x"]) for i in range(10)]
@@ -140,6 +148,62 @@ class TestGroupByWindow:
     def test_dedupe_replicated(self):
         rows = [ev(1, 5, ["a"]), ev(1, 5, ["b"]), ev(2, 6, ["a"])]
         assert [e.line_no for e in dedupe_replicated(rows)] == [1, 2]
+
+
+class TestStreamWindows:
+    @settings(max_examples=300)
+    @given(
+        st.integers(min_value=1, max_value=8),
+        st.integers(min_value=1, max_value=8),
+        st.lists(
+            st.tuples(
+                st.one_of(st.none(), st.floats(0, 100)),
+                st.sampled_from([None, NORMAL, Label(True), Label(True, "x"), Label(True, "y")]),
+            ),
+            max_size=30,
+        ),
+    )
+    def test_matches_the_list_oracle_with_stamps_and_labels(self, window, step, rows):
+        events = [ev(i + 1, 300 + i % 3, ["x"], ts, label) for i, (ts, label) in enumerate(rows)]
+        assert streamed(events, window, step) == windows_naive(events, window, step)
+
+    @pytest.mark.parametrize("window, step, n", [(5, 2, 13), (5, 2, 12), (3, 5, 14), (4, 4, 10), (6, 1, 4)])
+    def test_each_full_window_is_yielded_once_its_last_event_is_pulled(self, window, step, n):
+        pulled = 0
+
+        def source():
+            nonlocal pulled
+            for i in range(n):
+                pulled += 1
+                yield ev(i + 1, i, ["x"])
+
+        got = [(seq.seq_id, pulled) for seq in stream_windows(source(), window, step)]
+        # a full window ends at its last event; a trailing partial one is decided at the end of the stream
+        spans = window_spans_naive(n, window, step)
+        assert got == [(f"window-{a}", a + window if b - a == window else n) for a, b in spans]
+
+    def test_bounds_are_checked_before_any_event_is_pulled(self):
+        def source():
+            raise AssertionError("an event was pulled")
+            yield
+
+        for window, step in [(0, 1), (3, 0)]:
+            with pytest.raises(ValidationError):
+                stream_windows(source(), window, step)
+
+    def test_memory_does_not_grow_with_the_stream(self):
+        def peak(n):
+            events = (ParsedEvent(i, 300 + i % 1000, float(i), (), NORMAL) for i in range(n))
+            tracemalloc.start()
+            try:
+                with open(os.devnull, "w", encoding="utf-8", newline="") as sink:
+                    assert write_sequences(stream_windows(events, 20, 20), sink) == n // 20
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        small, large = peak(20_000), peak(200_000)
+        assert abs(large - small) < 0.2 * small, (small, large)
 
 
 def lifted(labels):
@@ -321,6 +385,24 @@ class TestSequenceRecord:
         assert Sequence("a", [1, 2], [0.5, 1.5]) == Sequence("a", (1, 2), array("d", [0.5, 1.5]))
         assert Sequence("a", [1], [0.5]) != Sequence("a", (1,), array("d", [0.25]))
         assert Sequence("a", [1], [None], NORMAL) == Sequence("a", (1,), [None], NORMAL)
+
+
+class TestSharedEventIds:
+    def test_rows_with_one_id_share_one_int(self, tmp_path):
+        path = tmp_path / "sequences.tsv"
+        path.write_text("seq_id\tlabel\tevents\ttimestamps\na\tnormal\t300 1000\t\nb\tnormal\t1000 7 300\t\n")
+        a, b = read_sequences(path)
+        assert a.events == (300, 1000) and b.events == (1000, 7, 300)
+        assert a.events[0] is b.events[2]
+        assert a.events[1] is b.events[0]
+        assert read_sequences(path)[0].events[0] is not a.events[0]  # shared within one read only
+
+    def test_an_id_that_is_no_integer_is_refused_at_its_line(self, tmp_path):
+        path = tmp_path / "sequences.tsv"
+        path.write_text("seq_id\tlabel\tevents\ttimestamps\na\tnormal\t300\t\nb\tnormal\t300 x1\t\n")
+        message = rf"^{re.escape(str(path))}:3: invalid literal for int\(\) with base 10: 'x1'$"
+        with pytest.raises(ValidationError, match=message):
+            read_sequences(path)
 
 
 def test_rows_with_one_label_text_share_one_label(tmp_path):
