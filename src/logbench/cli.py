@@ -151,8 +151,8 @@ class Manifest:
             handle.write("\n")
 
 
-def _manifest_path_for(out: Path, is_dir: bool) -> Path:
-    return out / "manifest.json" if is_dir else out.with_name(out.name + ".manifest.json")
+def _manifest_path_for(out: Path) -> Path:
+    return out.with_name(out.name + ".manifest.json")
 
 
 def cmd_parse(args: argparse.Namespace) -> int:
@@ -198,7 +198,7 @@ def cmd_parse(args: argparse.Namespace) -> int:
     )
     if report.timestamp_error_count:
         manifest.warn(f"{report.timestamp_error_count} lines had unparseable timestamps")
-    manifest.write(_manifest_path_for(out, is_dir=False))
+    manifest.write(_manifest_path_for(out))
     print(
         f"{report.lines_total} lines: {report.matched_lines} matched, "
         f"{report.unmatched_lines} unmatched, {report.invalid_lines} invalid; "
@@ -236,7 +236,7 @@ def cmd_group(args: argparse.Namespace) -> int:
     if not labels_file:
         manifest.record("labels_lifted_from_events", lifted.count)
     manifest.record("sequences_written", rows)
-    manifest.write(_manifest_path_for(out, is_dir=False))
+    manifest.write(_manifest_path_for(out))
     print(f"{rows} sequences -> {out}")
     return 0
 
@@ -258,44 +258,14 @@ def cmd_stats(args: argparse.Namespace) -> int:
     manifest = Manifest(args, [source])
     seqs = _labeled(sequencing.read_sequences(source), manifest)
     out_dir = Path(args.out_dir)
-
-    top = stats.top_sequences(seqs, args.top_k)
-    summary = stats.summarize(seqs)
-    with atomic_write(out_dir / "summary.txt") as handle:
-        handle.write("\n".join(stats.summary_lines(summary)) + "\n")
-
-    with atomic_write(out_dir / "event_frequencies.csv") as handle:
-        handle.write("event_id,normal_count,anomalous_count\n")
-        for event_id, n, a in stats.event_frequency_dist(seqs):
-            handle.write(f"{event_id},{n},{a}\n")
-
-    with atomic_write(out_dir / "length_distribution.csv") as handle:
-        handle.write("length,normal_count,anomalous_count\n")
-        for length, n, a in stats.length_dist(seqs):
-            handle.write(f"{length},{n},{a}\n")
-
-    with atomic_write(out_dir / "top_sequences.csv") as handle:
-        handle.write("class,count,events\n")
-        for cls, items in top.items():
-            for count, events in items:
-                handle.write(f"{cls},{count},{' '.join(map(str, events))}\n")
-
-    with atomic_write(out_dir / "interarrival.csv") as handle:
-        handle.write("class,pair,min,q1,median,q3,max,count\n")
-        if args.interarrival_by_pair:
-            for cls, pairs in stats.interarrival_dist(seqs, by_pair=True).items():
-                for pair, s in pairs.items():
-                    handle.write(
-                        f"{cls},{pair[0]}->{pair[1]},{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n"
-                    )
-        else:
-            for cls, s in stats.interarrival_dist(seqs).items():
-                handle.write(f"{cls},,{s.minimum},{s.q1},{s.median},{s.q3},{s.maximum},{s.count}\n")
-
+    reports = stats.report_files(seqs, args.top_k, interarrival_by_pair=args.interarrival_by_pair)
+    for name, lines in reports.items():
+        with atomic_write(out_dir / name) as handle:
+            handle.write("\n".join(lines) + "\n")
     manifest.time_stage("stats")
     manifest.record("sequences", len(seqs))
     manifest.write(out_dir / "manifest.json")
-    print("\n".join(stats.summary_lines(summary)))
+    print("\n".join(reports["summary.txt"]))
     print(f"reports -> {out_dir}")
     return 0
 
@@ -340,7 +310,7 @@ def cmd_complexity(args: argparse.Namespace) -> int:
             manifest.record("lz_final_complexity", curve.final_complexity)
     manifest.time_stage("complexity")
     manifest.record("sequences", len(seqs))
-    manifest.write(_manifest_path_for(out, is_dir=False))
+    manifest.write(_manifest_path_for(out))
     print(f"complexity measures -> {out}")
     return 0
 

@@ -213,7 +213,7 @@ class CountVectorDetector(Detector):
         df: Counter = Counter()
         for seq in train:
             df.update(set(seq.events))
-            key = count_vector_key(seq)
+            key = count_vector_key(seq.events)
             if key not in seen:
                 seen.add(key)
                 self.bank.append(to_count_vector(seq))
@@ -292,7 +292,7 @@ class CountVectorDetector(Detector):
         found: dict[tuple[int, ...], float] = {}
         scores = []
         for seq in seqs:
-            key = count_vector_key(seq)
+            key = count_vector_key(seq.events)
             score = found.get(key)
             if score is None:
                 score = found[key] = nearest(to_count_vector(seq))

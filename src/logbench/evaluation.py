@@ -211,8 +211,8 @@ def split(
     """Sample training normals uniformly without replacement for one run.
 
     Training size is round-half-up(train_fraction * #normals) with a floor
-    of 1; the test set is the remaining normals plus all anomalies, in
-    original dataset order.
+    of 1. Training holds the chosen normals in dataset order; the test set
+    holds the remaining normals, then all anomalies, each in dataset order.
     """
     normals = [s for s in seqs if s.label is not None and not s.label.anomalous]
     anomalies = [s for s in seqs if s.label is not None and s.label.anomalous]

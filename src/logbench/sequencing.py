@@ -305,9 +305,9 @@ def to_count_vector(seq: Sequence) -> Counter:
     return Counter(seq.events)
 
 
-def count_vector_key(seq: Sequence) -> tuple[int, ...]:
-    """The sorted event tuple: two sequences share it exactly when their count vectors are equal."""
-    return tuple(sorted(seq.events))
+def count_vector_key(events: Iterable[int]) -> tuple[int, ...]:
+    """The sorted event tuple: two event lists share it exactly when their count vectors are equal."""
+    return tuple(sorted(events))
 
 
 def write_sequences(seqs: Iterable[Sequence], handle: TextIO) -> int:

@@ -31,20 +31,21 @@ DATA = SRC / "logbench" / "data"
 EVAL_FILES = ("results.csv", "summary.csv", "bests.csv", "scores_run0.csv")
 
 
-def run(*args: object, cwd: Path, python_flags: tuple[str, ...] = ()) -> str:
-    """Run this interpreter on `args` with `src` importable; return its standard output.
+def run(*args: object, cwd: Path, python_flags: tuple[str, ...] = (), env: dict[str, str] | None = None) -> str:
+    """Run this interpreter on `args` with `src` importable and `env` added; return its standard output.
 
     A non-zero exit fails the check with the command's output.
     """
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")])))
+    path = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
     cmd = [sys.executable, *python_flags, *map(str, args)]
+    env = {**os.environ, **(env or {}), "PYTHONPATH": path}
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, f"{cmd} exited {proc.returncode}:\n{proc.stdout}{proc.stderr}"
     return proc.stdout
 
 
-def logbench(*args: object, cwd: Path, python_flags: tuple[str, ...] = ()) -> str:
-    return run("-m", "logbench.cli", *args, cwd=cwd, python_flags=python_flags)
+def logbench(*args: object, cwd: Path, **options) -> str:
+    return run("-m", "logbench.cli", *args, cwd=cwd, **options)
 
 
 def rows_of(path: Path) -> list[list[str]]:
@@ -300,6 +301,39 @@ def check_window_grouping_writes_the_list_grouping_bytes(work: Path) -> None:
         realized = json.loads(out.with_name(out.name + ".manifest.json").read_text(encoding="utf-8"))["realized"]
         assert realized["labels_lifted_from_events"] == sum(1 for row in rows if row[1]) > 0, (window, step)
         assert realized["sequences_written"] == len(rows) > 1, (window, step)
+
+
+def check_outputs_do_not_depend_on_the_hash_seed(work: Path) -> None:
+    """Every stage writes and prints the same bytes under two hash seeds, manifests aside.
+
+    `parse` and `group` run on the bundled log; `stats`, `complexity`,
+    `eval` and `sweep` on the bundled 200-sequence store, and `stats` and
+    `complexity` also on the grouped log.
+    """
+    store = DATA / "synthetic_sequences.tsv"
+    stages = [
+        ("parse", "--profile", "synthetic", "--templates", DATA / "synthetic.templates", "--input",
+         DATA / "synthetic.log", "--out", "events.tsv"),
+        ("group", "--input", "events.tsv", "--labels", DATA / "synthetic_labels.csv", "--out", "sequences.tsv"),
+        ("stats", "--input", "sequences.tsv", "--interarrival-by-pair", "--out-dir", "grouped_stats"),
+        ("complexity", "--input", "sequences.tsv", "--lz", "--out", "grouped_complexity.csv"),
+        ("stats", "--input", store, "--interarrival-by-pair", "--out-dir", "stats"),
+        ("complexity", "--input", store, "--lz", "--out", "complexity.csv"),
+        ("eval", "--input", store, "--train-frac", "0.1", "--runs", 5, "--jobs", 2, "--dump-scores",
+         "--out-dir", "eval"),
+        ("sweep", "--input", store, "--train-frac", "0.1", "--out-dir", "sweep"),
+    ]
+    outputs = {}
+    for seed in ("1", "2"):
+        out = work / f"seed{seed}"
+        out.mkdir()
+        printed = "".join(logbench(*stage, cwd=out, env={"PYTHONHASHSEED": seed}) for stage in stages)
+        files = sorted(p for p in out.rglob("*") if p.is_file() and not p.name.endswith("manifest.json"))
+        outputs[seed] = printed, {str(p.relative_to(out)): p.read_bytes() for p in files}
+    assert len(outputs["1"][1]) == 19, sorted(outputs["1"][1])
+    assert outputs["1"] == outputs["2"], [
+        name for name, data in outputs["1"][1].items() if outputs["2"][1].get(name) != data
+    ] or "standard output differs"
 
 
 CHECKS = [check for name, check in list(globals().items()) if name.startswith("check_")]

@@ -9,7 +9,10 @@ sweep oracle builds every result row, metrics included, with the
 evaluation's record types and `metrics_from_counts`, and picks the best
 row among them, where the evaluation keeps only confusion counts. The
 event-granularity oracle groups and labels on its own and walks every test
-event; it shares only the run's sampling, `evaluation.split`.
+event; it shares only the run's sampling, `evaluation.split`. The `stats`
+oracles walk every sequence, with per-class lists and key sets, where the
+reports count distinct event tuples; they share only the summary's record
+types.
 """
 
 from __future__ import annotations
@@ -24,6 +27,7 @@ from logbench.errors import DetectorNotApplicable
 from logbench.evaluation import FLAG_CUTOFF, THRESHOLD_GRID, ConfusionCounts, EvalResult, metrics_from_counts, split
 from logbench.events import NORMAL
 from logbench.sequencing import Sequence
+from logbench.stats import ClassSplit, CrossClass, DatasetSummary
 
 
 def levenshtein_recursive(a, b) -> int:
@@ -313,3 +317,66 @@ def split_line_naive(line, preamble_tokens, n_tokens):
     if len(spans) <= preamble_tokens:
         return tokens, ""
     return tokens, line[spans[preamble_tokens][0] :]
+
+
+def summarize_naive(seqs) -> DatasetSummary:
+    """The dataset-overview counts from per-class sequence lists, one key list and key set per class."""
+    normal = [s for s in seqs if not s.label.anomalous]
+    anom = [s for s in seqs if s.label.anomalous]
+    ev_normal = sum(len(s) for s in normal)
+    ev_anom = sum(len(s) for s in anom)
+    types_normal = {e for s in normal for e in s.events}
+    types_anom = {e for s in anom for e in s.events}
+    seq_keys_normal = [tuple(s.events) for s in normal]
+    seq_keys_anom = [tuple(s.events) for s in anom]
+    uniq_normal, uniq_anom = set(seq_keys_normal), set(seq_keys_anom)
+    cv_keys_normal = [tuple(sorted(Counter(s.events).items())) for s in normal]
+    cv_keys_anom = [tuple(sorted(Counter(s.events).items())) for s in anom]
+    uniq_cv_normal, uniq_cv_anom = set(cv_keys_normal), set(cv_keys_anom)
+    return DatasetSummary(
+        events=ClassSplit(ev_normal + ev_anom, ev_normal, ev_anom),
+        event_types=ClassSplit(len(types_normal | types_anom), len(types_normal), len(types_anom)),
+        sequences=ClassSplit(len(seqs), len(normal), len(anom)),
+        unique_sequences=ClassSplit(len(uniq_normal | uniq_anom), len(uniq_normal), len(uniq_anom)),
+        cross_class_sequences=CrossClass(
+            sum(1 for k in seq_keys_normal if k in uniq_anom), sum(1 for k in seq_keys_anom if k in uniq_normal)
+        ),
+        unique_count_vectors=ClassSplit(
+            len(uniq_cv_normal | uniq_cv_anom), len(uniq_cv_normal), len(uniq_cv_anom)
+        ),
+        cross_class_count_vectors=CrossClass(
+            sum(1 for k in cv_keys_normal if k in uniq_cv_anom), sum(1 for k in cv_keys_anom if k in uniq_cv_normal)
+        ),
+        distinct_anomaly_tags=len({s.label.tag for s in anom}),
+    )
+
+
+def event_frequency_naive(seqs):
+    """(event, normal count, anomalous count) rows by ascending normal count, then event id."""
+    normal: Counter = Counter()
+    anom: Counter = Counter()
+    for s in seqs:
+        (anom if s.label.anomalous else normal).update(s.events)
+    all_events = sorted(set(normal) | set(anom), key=lambda e: (normal.get(e, 0), e))
+    return [(e, normal.get(e, 0), anom.get(e, 0)) for e in all_events]
+
+
+def length_dist_naive(seqs):
+    """(length, normal, anomalous) rows by ascending length, one count per sequence."""
+    normal: Counter = Counter()
+    anom: Counter = Counter()
+    for s in seqs:
+        (anom if s.label.anomalous else normal)[len(s)] += 1
+    return [(n, normal.get(n, 0), anom.get(n, 0)) for n in sorted(set(normal) | set(anom))]
+
+
+def top_sequences_naive(seqs, k):
+    """The k most common event lists per class as (count, events), ties broken lexicographically."""
+    counters = {"normal": Counter(), "anomalous": Counter()}
+    for s in seqs:
+        counters["anomalous" if s.label.anomalous else "normal"][tuple(s.events)] += 1
+    out = {}
+    for cls, counter in counters.items():
+        ranked = sorted(counter.items(), key=lambda item: (-item[1], item[0]))
+        out[cls] = [(count, events) for events, count in ranked[:k]]
+    return out

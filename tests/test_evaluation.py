@@ -173,6 +173,17 @@ class TestSplit:
         assert len(train) + len(test) == len(seqs)
         assert {s.seq_id for s in train}.isdisjoint({s.seq_id for s in test})
 
+    def test_test_set_is_remaining_normals_then_anomalies(self):
+        # interleaved classes: n0 a0 n1 a1 ... in the data set
+        seqs = [s for i in range(6) for s in (nseq([i], f"n{i}"), aseq([i], f"a{i}"))]
+        for run in range(5):
+            train, test = split(seqs, EvalConfig(train_fraction=0.3), run)
+            chosen = {s.seq_id for s in train}
+            assert [s.seq_id for s in train] == [f"n{i}" for i in range(6) if f"n{i}" in chosen]
+            assert [s.seq_id for s in test] == (
+                [f"n{i}" for i in range(6) if f"n{i}" not in chosen] + [f"a{i}" for i in range(6)]
+            )
+
     def test_zero_anomalies_refused(self):
         seqs = [nseq([1], f"n{i}") for i in range(5)]
         with pytest.raises(EvalDataError, match="no anomalies"):

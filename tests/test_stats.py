@@ -11,10 +11,13 @@ from logbench.stats import (
     five_number,
     interarrival_dist,
     length_dist,
+    report_files,
     summarize,
     summary_lines,
     top_sequences,
 )
+
+from oracles import event_frequency_naive, length_dist_naive, summarize_naive, top_sequences_naive
 
 
 ANOM = Label(True, "x")
@@ -85,8 +88,21 @@ class TestSummarize:
         assert summarize(seqs) == summarize(list(reversed(seqs)))
 
     def test_unlabeled_rejected(self):
-        with pytest.raises(ValidationError):
-            summarize([Sequence("u", [1])])
+        """Every public report refuses a store with an unlabeled sequence, naming the first one."""
+        seqs = [nseq([1], ts=[0.0]), Sequence("u", [1, 2], [0.0, 1.0]), Sequence("v", [2])]
+        reports = [
+            summarize, event_frequency_dist, length_dist, lambda s: top_sequences(s, 3), interarrival_dist,
+            lambda s: interarrival_dist(s, by_pair=True), lambda s: report_files(s, 3),
+        ]
+        for report in reports:
+            with pytest.raises(ValidationError, match=r"^sequence u is unlabeled$"):
+                report(seqs)
+
+    def test_negative_top_k_is_reported_before_an_unlabeled_sequence(self):
+        seqs = [Sequence("u", [1])]
+        for report in (lambda: top_sequences(seqs, -1), lambda: report_files(seqs, -1)):
+            with pytest.raises(ValidationError, match=r"^top-k must be >= 0$"):
+                report()
 
     def test_distinct_anomaly_tags(self):
         seqs = [aseq([1], sid="a1"), Sequence("a2", [2], None, Label(True, "other")), nseq([3])]
@@ -196,3 +212,31 @@ def test_per_class_event_totals_match(data):
     rows = event_frequency_dist(seqs)
     assert sum(n for _, n, _ in rows) == summary.events.normal
     assert sum(a for _, _, a in rows) == summary.events.anomalous
+
+
+@st.composite
+def labeled_stores(draw):
+    """Sequences drawn from a few tuples: permutations of one multiset, the empty tuple and a few others.
+
+    Each draw is repeated up to four times, and few tuples give tuples in
+    both classes; a store may hold one class only.
+    """
+    base = draw(st.lists(st.integers(1, 4), max_size=5))
+    pool = [base, []] + draw(st.lists(st.permutations(base), max_size=3))
+    pool += draw(st.lists(st.lists(st.integers(1, 6), max_size=6), max_size=3))
+    classes = draw(st.sampled_from([(False, True), (False,), (True,)]))
+    picks = st.tuples(st.sampled_from(pool), st.sampled_from(classes), st.sampled_from("xy"), st.integers(1, 4))
+    labeled = [
+        (events, Label(True, tag) if anomalous else NORMAL)
+        for events, anomalous, tag, repeats in draw(st.lists(picks, max_size=12))
+        for _ in range(repeats)
+    ]
+    return [Sequence(f"s{i}", list(events), None, label) for i, (events, label) in enumerate(labeled)]
+
+
+@given(labeled_stores(), st.integers(min_value=0, max_value=5))
+def test_count_reports_match_per_sequence_oracles(seqs, k):
+    assert summarize(seqs) == summarize_naive(seqs)
+    assert event_frequency_dist(seqs) == event_frequency_naive(seqs)
+    assert length_dist(seqs) == length_dist_naive(seqs)
+    assert list(top_sequences(seqs, k).items()) == list(top_sequences_naive(seqs, k).items())
